@@ -43,13 +43,14 @@
 // for them). Ignored with -corun.
 //
 // -fork-workers N widens each divergence group's fork fan-out: the shared
-// prefix is captured once as a portable snapshot, N-1 chunks of the
+// prefix is captured once as a portable snapshot, up to N-1 chunks of the
 // group's what-if cells are handed to idle pool workers that adopt the
 // snapshot into their own pooled runners, and the suffixes race on all
-// cores instead of running sequentially on the publisher's. The default
-// (0) follows -workers; 1 restores sequential forks. Results stay
-// byte-identical at any width — only wall clock and the summary's fan-out
-// line change.
+// cores instead of running one after another on the walker's. The
+// default (0) follows -workers; 1 keeps every fork on the walker. Results
+// stay byte-identical at any width — only wall clock and the summary's
+// fan-out line change. Fork work that panics is rerun standalone and
+// counted on the summary's prefix-sharing line.
 //
 // -shards K runs every cell on the sharded campaign kernel with K worker
 // shards instead of the legacy single-heap kernel. Results are
@@ -327,7 +328,7 @@ func run() (err error) {
 	tracker.RecordPrefix(sweep.PrefixGroups, sweep.PrefixHits, sweep.SavedSimWeeks)
 	tracker.RecordFanout(sweep.SnapshotBytes, sweep.SnapshotCaptureNS, sweep.SnapshotAdoptNS,
 		sweep.AdoptedRunners, sweep.ForksParallel, sweep.ParallelSpeedup)
-	printSummary(tracker)
+	printSummary(tracker, sweep.Fallbacks)
 	if msink != nil {
 		// Close the metrics NDJSON with one final sweep-telemetry record so
 		// the end-of-sweep totals (prefix stats included) are machine-readable.
@@ -399,7 +400,7 @@ func runCoRuns(scenarios string, reps, workers int, scale float64, seed uint64, 
 	}
 	stopTicker()
 	fmt.Fprintf(os.Stderr, "done: %d co-runs in %.1fs\n", len(sweep.Results), time.Since(start).Seconds())
-	printSummary(tracker)
+	printSummary(tracker, nil)
 	fmt.Print(experiment.GridTable(sweep.Aggregates, sweep.Results).String())
 
 	if out != "" {
@@ -503,14 +504,18 @@ func startTicker(tr *experiment.Tracker, every time.Duration, metrics *obs.Sink)
 
 // printSummary emits the end-of-sweep resource line: cell throughput and
 // process memory, so even a -q run leaves a one-line wall-time record. A
-// forked sweep appends its prefix-sharing stats.
-func printSummary(tr *experiment.Tracker) {
+// forked sweep appends its prefix-sharing stats, with a count of the fork
+// work that fell back to standalone runs and one line per fallback.
+func printSummary(tr *experiment.Tracker, fallbacks []experiment.Fallback) {
 	t := tr.Snapshot()
 	fmt.Fprintf(os.Stderr, "summary: %d cells in %.1fs, %.2f cells/s, mean cell %.2fs, %d workers (GOMAXPROCS %d), %d shards, %.1f MB sys (peak RSS), %.1f MB allocated\n",
 		t.Done, t.ElapsedSeconds, t.CellsPerSec, t.MeanCellSeconds, t.Workers, t.Gomaxprocs, t.Shards, t.SysMB, t.TotalAllocMB)
 	if t.Forked {
-		fmt.Fprintf(os.Stderr, "prefix sharing: %d groups snapshotted, %d cells forked, %.1f sim-weeks saved\n",
-			t.PrefixGroups, t.PrefixHits, t.SavedSimWeeks)
+		fmt.Fprintf(os.Stderr, "prefix sharing: %d groups snapshotted, %d cells forked, %.1f sim-weeks saved, %d fallbacks\n",
+			t.PrefixGroups, t.PrefixHits, t.SavedSimWeeks, len(fallbacks))
+		for _, fb := range fallbacks {
+			fmt.Fprintf(os.Stderr, "fork fallback: %s rep %d: %s\n", fb.Scenario, fb.Rep, fb.Reason)
+		}
 	}
 	if t.ForkWorkers > 1 {
 		fmt.Fprintf(os.Stderr, "fan-out: %d fork workers, %d runners adopted snapshots, %d cells forked in parallel, %.1f KB snapshots, %.2fx tree speedup\n",

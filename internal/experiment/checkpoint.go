@@ -40,10 +40,20 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	c := &Checkpoint{path: path, done: make(map[Key]RunResult)}
 	if resume {
 		if data, err := os.ReadFile(path); err == nil {
+			// A sweep killed mid-write leaves a last line without its
+			// newline. Cut that fragment off the file: appended after it,
+			// the next record would be glued onto it and lost at the
+			// following resume.
+			keep := bytes.LastIndexByte(data, '\n') + 1
+			if keep < len(data) {
+				if err := os.Truncate(path, int64(keep)); err != nil {
+					return nil, fmt.Errorf("experiment: truncate torn checkpoint tail: %w", err)
+				}
+			}
 			// Parse line by line and skip torn lines rather than stopping:
-			// a sweep killed mid-write leaves one, and a later resume
-			// appends intact lines after it.
-			for _, line := range bytes.Split(data, []byte("\n")) {
+			// a line torn by an earlier kill stays in the file, with intact
+			// lines appended after it.
+			for _, line := range bytes.Split(data[:keep], []byte("\n")) {
 				if len(bytes.TrimSpace(line)) == 0 {
 					continue
 				}

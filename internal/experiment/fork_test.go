@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/project"
@@ -91,6 +92,61 @@ func TestForkedSweepIdentical(t *testing.T) {
 	}
 	if string(refJSON) != string(forkJSON) {
 		t.Fatal("forked sweep JSON differs from unforked")
+	}
+}
+
+// TestForkFallbackRecorded: a grouped scenario whose mutator panics once
+// inside a fork is kept as one fallback naming the cell and the panic,
+// and the cells the fork owed rerun standalone — so the results stay
+// byte-equal to the unforked sweep.
+func TestForkFallbackRecorded(t *testing.T) {
+	scenarios := forkScenarios(t)
+	opts := Options{Base: testBase(t), Scenarios: scenarios, Reps: 2, Workers: 1}
+	ref, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const victim = "late-quorum-switch"
+	var armed atomic.Bool
+	armed.Store(true)
+	flaky := append([]Scenario(nil), scenarios...)
+	for i, sc := range flaky {
+		if sc.Name == victim {
+			mutate := sc.Mutate
+			flaky[i].Mutate = func(cfg *project.Config) {
+				if armed.CompareAndSwap(true, false) {
+					panic("one-shot mutator panic")
+				}
+				mutate(cfg)
+			}
+		}
+	}
+	opts.Scenarios, opts.Fork = flaky, true
+	sw, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Fallbacks) != 1 {
+		t.Fatalf("fallbacks = %+v, want exactly one", sw.Fallbacks)
+	}
+	if fb := sw.Fallbacks[0]; fb.Scenario != victim || fb.Rep != 0 || fb.Reason != "one-shot mutator panic" {
+		t.Errorf("fallback = %+v, want %s rep 0 with the panic message", fb, victim)
+	}
+	if !reflect.DeepEqual(ref.Results, sw.Results) {
+		t.Fatal("results after a fork fallback differ from the unforked sweep")
+	}
+	if !reflect.DeepEqual(ref.Aggregates, sw.Aggregates) {
+		t.Fatal("aggregates after a fork fallback differ from the unforked sweep")
+	}
+
+	// Without the panic the same forked sweep falls back nowhere.
+	opts.Scenarios = scenarios
+	if sw, err = Run(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Fallbacks) != 0 {
+		t.Errorf("clean forked sweep recorded fallbacks: %+v", sw.Fallbacks)
 	}
 }
 

@@ -132,25 +132,23 @@ type Options struct {
 
 	// Fork enables prefix-shared execution: scenarios carrying a DivergesAt
 	// hint are grouped per replication, the shared prefix of their common
-	// trajectory runs once, and each cell forks from an in-memory snapshot
-	// at its divergence time (the project.Runner fork path). Results and
-	// aggregates are byte-identical to an unforked sweep — grouped
-	// scenarios share one derived trajectory seed per replication in both
-	// modes — only wall clock and the Sweep.Prefix* stats change. Grouped
-	// cells run unprobed: MetricsSink/TraceSink samples are skipped for
-	// them in fork mode.
+	// trajectory runs once, and each cell forks from a portable snapshot
+	// taken at its divergence time (the project.Runner fork path: every
+	// fork adopts the snapshot). Results and aggregates are byte-identical
+	// to an unforked sweep — grouped scenarios share one derived
+	// trajectory seed per replication in both modes — only wall clock and
+	// the Sweep.Prefix* stats change. Grouped cells run unprobed:
+	// MetricsSink/TraceSink samples are skipped for them in fork mode.
 	Fork bool
 
-	// ForkWorkers bounds the per-group parallel fan-out in fork mode: when
-	// a prefix group has more than one pending cell, the tree worker
-	// materializes a portable snapshot of the shared prefix
-	// (project.Runner.Materialize) and up to ForkWorkers-1 pool workers
-	// adopt it into their own run contexts and race the group's suffixes
-	// alongside the tree worker's own in-place forks. 0 or 1 keeps grouped
-	// suffixes sequential on the tree worker. Results and aggregates are
-	// byte-identical at every value — adoption is pinned to the in-place
-	// fork path — so this is purely a wall-clock choice; values above
-	// Workers are capped to it.
+	// ForkWorkers bounds the per-group fan-out in fork mode: the walker
+	// that advances a replication's shared prefix materializes each
+	// divergence group's snapshot once, splits the group's pending cells
+	// into up to ForkWorkers chunks, forks the first chunk itself and
+	// hands the rest to pool workers, which adopt the same snapshot into
+	// their own run contexts. 0 or 1 keeps every chunk on the walker.
+	// Results and aggregates are byte-identical at every value, so this is
+	// purely a wall-clock choice; values above Workers are capped to it.
 	ForkWorkers int
 
 	// MetricsSink / TraceSink, when non-nil, attach a pooled obs probe to
@@ -183,16 +181,31 @@ type Sweep struct {
 	PrefixHits    int     `json:"-"` // cells satisfied by forking a snapshot
 	SavedSimWeeks float64 `json:"-"` // sim-weeks not re-simulated thanks to sharing
 
+	// Fallbacks lists fork work that panicked and was rerun standalone;
+	// results are unchanged by it. Excluded from the JSON rendering like
+	// the prefix stats.
+	Fallbacks []Fallback `json:"-"`
+
 	// Parallel fan-out statistics, filled only when fork mode runs with
 	// ForkWorkers > 1 and at least one group actually fanned out. Excluded
 	// from the JSON rendering like the prefix stats, so forked,
 	// parallel-forked and unforked sweep files diff clean.
-	SnapshotBytes     int     `json:"-"` // portable-snapshot bytes published, summed over groups
-	SnapshotCaptureNS int64   `json:"-"` // wall time spent materializing snapshots
-	SnapshotAdoptNS   int64   `json:"-"` // wall time spent adopting snapshots, summed over adopters
-	AdoptedRunners    int     `json:"-"` // adopt-chunk jobs executed across all groups
-	ForksParallel     int     `json:"-"` // cells forked on adopted runners
+	SnapshotBytes     int     `json:"-"` // bytes of fanned-out groups' snapshots, summed
+	SnapshotCaptureNS int64   `json:"-"` // wall time spent materializing those snapshots
+	SnapshotAdoptNS   int64   `json:"-"` // wall time pool workers spent adopting snapshots
+	AdoptedRunners    int     `json:"-"` // pooled chunk jobs executed across all groups
+	ForksParallel     int     `json:"-"` // cells forked in pooled chunks
 	ParallelSpeedup   float64 `json:"-"` // Σ fanned-out tree work / Σ tree wall span
+}
+
+// Fallback records fork work that panicked: the cell in progress — for a
+// panic while advancing the shared prefix, the first cell of the group
+// being reached — and the panic message. That cell and every later one
+// the work owed were rerun standalone under the same seed.
+type Fallback struct {
+	Scenario string
+	Rep      int
+	Reason   string
 }
 
 // DeriveSeed mixes the sweep base seed with a cell's scenario and
@@ -256,10 +269,10 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 
 	// treeStat times one replication's fanned-out prefix tree for the
-	// parallel-speedup estimate: cost sums the wall time of the tree
-	// worker's walk and of every adopted chunk; the span runs from the
-	// tree walk's start to its last finisher. Only trees that actually
-	// fanned out get an entry.
+	// parallel-speedup estimate: cost sums the wall time of the walker's
+	// walk and of every pooled chunk; the span runs from the walk's start
+	// to its last finisher. Only trees that actually fanned out get an
+	// entry.
 	type treeStat struct {
 		start, end time.Time
 		cost       float64
@@ -272,6 +285,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		prefixHits   int
 		savedWeeks   float64
 		ctxSkipped   bool
+		fallbacks    []Fallback
 
 		snapBytes int
 		snapCapNS int64
@@ -280,6 +294,17 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		forksPar  int
 		treeStats = make(map[int]*treeStat)
 	)
+	// treeWork books work begun at since against rep's tree, if it fanned
+	// out; the caller holds mu.
+	treeWork := func(rep int, since time.Time) {
+		if st := treeStats[rep]; st != nil {
+			now := time.Now()
+			st.cost += now.Sub(since).Seconds()
+			if now.After(st.end) {
+				st.end = now
+			}
+		}
+	}
 	start := time.Now()
 	finish := func(i int, res RunResult, fromCkpt bool, wall float64) {
 		mu.Lock()
@@ -301,21 +326,21 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 
 	// A job is one standalone cell (cell ≥ 0), one replication's prefix
 	// tree (cell == -1, chunk == nil) — every grouped scenario of that
-	// rep, run by forking snapshots off a single shared-prefix trajectory —
-	// or one adopted chunk of a fanned-out prefix group (chunk != nil): a
-	// slice of a group's cells raced on another worker's runner via
-	// portable-snapshot adoption.
-	type adoptChunk struct {
-		ps    *project.PortableSnapshot
-		at    sim.Time
-		seed  uint64
-		rep   int
-		cells []int
+	// rep, forked off a single shared-prefix trajectory — or one pooled
+	// chunk of a divergence group (chunk != nil): a slice of the group's
+	// cells forked off the group's snapshot on another worker's runner.
+	type forkChunk struct {
+		ps     *project.PortableSnapshot
+		at     sim.Time
+		seed   uint64
+		rep    int
+		cells  []int
+		pooled bool // run by a pool worker rather than the tree's walker
 	}
 	type job struct {
 		cell  int
 		rep   int
-		chunk *adoptChunk
+		chunk *forkChunk
 	}
 	forkWorkers := opts.ForkWorkers
 	if forkWorkers > workers {
@@ -344,7 +369,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		}
 	}
 
-	// The job queue is dynamic: tree jobs enqueue adopt-chunk jobs as their
+	// The job queue is dynamic: tree jobs enqueue pooled chunks as their
 	// groups fan out. The channel is buffered for the worst-case job count
 	// so enqueuing from a worker never blocks, and a WaitGroup-driven
 	// closer ends the range loops once every job — late-enqueued chunks
@@ -426,26 +451,50 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 				finish(i, res, false, wall)
 			}
 
-			// runChunk adopts a published prefix snapshot into this worker's
-			// pooled runner and forks its slice of the group's cells — the
-			// receiving half of a fanned-out prefix group. A panic (in
-			// adoption or a fork) rebuilds the runner and reruns the chunk's
-			// unfinished cells standalone, exactly like the tree fallback.
-			runChunk := func(ch *adoptChunk) {
-				chunkStart := time.Now()
-				chunkDone := make(map[int]bool)
-				ok := func() (ok bool) {
+			// forkGuard runs fork work that owes the cells in owed, in
+			// order; body counts the cells it finishes in *done. A panic
+			// anywhere in body — advancing the shared prefix, adoption, a
+			// scenario mutator, a fork — is kept in Sweep.Fallbacks against
+			// the cell in progress, the runner is rebuilt (the panic may
+			// have left it mid-run) and the owed cells body did not finish
+			// rerun standalone under the same seed, so results are
+			// unchanged. It reports whether body completed.
+			forkGuard := func(owed []int, done *int, body func()) bool {
+				fb := func() (fb *Fallback) {
 					defer func() {
 						if p := recover(); p != nil {
-							ok = false
+							c := cells[owed[min(*done, len(owed)-1)]]
+							fb = &Fallback{Scenario: opts.Scenarios[c.scenIdx].Name, Rep: c.rep, Reason: fmt.Sprint(p)}
 						}
 					}()
+					body()
+					return nil
+				}()
+				if fb == nil {
+					return true
+				}
+				mu.Lock()
+				fallbacks = append(fallbacks, *fb)
+				mu.Unlock()
+				runner = project.NewRunner()
+				for _, ci := range owed[*done:] {
+					runStandalone(ci)
+				}
+				return false
+			}
+
+			// runChunk forks a chunk of a divergence group's cells off the
+			// group's snapshot on this worker's runner: the walker's own
+			// first chunk (where the adoption is a no-op — its runner
+			// already stands on the snapshot) and every pooled one alike.
+			runChunk := func(ch *forkChunk) {
+				chunkStart := time.Now()
+				var adoptDur time.Duration
+				var forked int
+				forkGuard(ch.cells, &forked, func() {
 					adoptStart := time.Now()
 					runner.AdoptSnapshot(ch.ps)
-					adoptDur := time.Since(adoptStart)
-					runner.Snapshot()
-					var nHits int
-					var saved float64
+					adoptDur = time.Since(adoptStart)
 					for _, ci := range ch.cells {
 						c := cells[ci]
 						sc := opts.Scenarios[c.scenIdx]
@@ -463,176 +512,112 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 						if opts.Checkpoint != nil {
 							opts.Checkpoint.Record(res)
 						}
-						chunkDone[ci] = true
-						nHits++
-						saved += float64(ch.at) / float64(sim.Week)
+						forked++
 						finish(ci, res, false, wall)
 					}
-					mu.Lock()
-					prefixHits += nHits
-					savedWeeks += saved
+				})
+				mu.Lock()
+				prefixHits += forked
+				savedWeeks += float64(forked) * float64(ch.at) / float64(sim.Week)
+				if ch.pooled {
 					adopted++
 					adoptNS += adoptDur.Nanoseconds()
-					forksPar += nHits
-					mu.Unlock()
-					return true
-				}()
-				mu.Lock()
-				if st := treeStats[ch.rep]; st != nil {
-					st.cost += time.Since(chunkStart).Seconds()
-					if t := time.Now(); t.After(st.end) {
-						st.end = t
-					}
+					forksPar += forked
+					treeWork(ch.rep, chunkStart)
 				}
 				mu.Unlock()
-				if !ok {
-					runner = project.NewRunner()
-					for _, ci := range ch.cells {
-						if !chunkDone[ci] {
-							runStandalone(ci)
-						}
-					}
-				}
 			}
 
 			// runTree walks one replication's prefix tree. Cells already in
-			// the checkpoint are finished as resumed before the walk; cells
-			// the walk forks are tracked in treeDone so the panic fallback
-			// reruns only the unfinished remainder standalone, and cells
-			// handed off to adopt chunks are excluded from it (their chunk
-			// finishes them independently).
+			// the checkpoint are finished as resumed before the walk. At
+			// each divergence group the walker advances the shared prefix
+			// to the group's time, materializes it once, splits the group's
+			// cells into up to ForkWorkers chunks, hands every chunk but the
+			// first to the pool and forks the first itself. If advancing
+			// the prefix panics, every remaining cell of the tree runs
+			// standalone.
 			runTree := func(rep int) {
 				treeSeed := DeriveSeed(baseSeed, plan.root, rep)
-				type pendingGroup struct {
-					at    sim.Time
-					cells []int
-				}
-				var groups []pendingGroup
+				// owed lists the tree's pending cells in group order;
+				// group gi's cells are owed[lo[gi]:lo[gi+1]].
+				var owed []int
+				var ats []sim.Time
+				lo := []int{0}
 				for _, g := range plan.groups {
-					pg := pendingGroup{at: g.at}
 					for _, si := range g.scens {
 						ci := si*opts.Reps + rep
 						if !ckptHit(ci, opts.Scenarios[si], treeSeed) {
-							pg.cells = append(pg.cells, ci)
+							owed = append(owed, ci)
 						}
 					}
-					if len(pg.cells) > 0 {
-						groups = append(groups, pg)
+					if len(owed) > lo[len(lo)-1] {
+						ats = append(ats, g.at)
+						lo = append(lo, len(owed))
 					}
 				}
-				if len(groups) == 0 {
+				if len(owed) == 0 {
 					return // the whole tree resumed from the checkpoint
 				}
-				treeDone := make(map[int]bool)
-				handedOff := make(map[int]bool)
 				treeStart := time.Now()
-				ok := func() (ok bool) {
-					defer func() {
-						if p := recover(); p != nil {
-							ok = false
+				baseCfg := opts.Base
+				baseCfg.Seed = treeSeed
+				if opts.Shards > 0 {
+					baseCfg.Shards = opts.Shards
+				}
+				baseCfg.Probe = nil // forked cells run unprobed
+				var ps *project.PortableSnapshot
+				var reached sim.Time
+				var capDur time.Duration
+				for gi, at := range ats {
+					prev := ps
+					if !forkGuard(owed[lo[gi]:], new(int), func() {
+						if prev == nil {
+							runner.Begin(baseCfg)
+						} else {
+							// Restore, in effect — and still right after a
+							// fallback rebuilt the runner.
+							runner.AdoptSnapshot(prev)
 						}
-					}()
-					var nGroups, nHits int
-					var saved float64
-					baseCfg := opts.Base
-					baseCfg.Seed = treeSeed
-					if opts.Shards > 0 {
-						baseCfg.Shards = opts.Shards
+						runner.RunTo(at)
+						capStart := time.Now()
+						var err error
+						if ps, err = runner.Materialize(); err != nil {
+							panic(err)
+						}
+						capDur = time.Since(capStart)
+						mu.Lock()
+						prefixGroups++
+						mu.Unlock()
+					}) {
+						break
 					}
-					baseCfg.Probe = nil // forked cells run unprobed
-					runner.Begin(baseCfg)
-					for gi, g := range groups {
-						runner.RunTo(g.at)
-						mine := g.cells
-						// Fan the group's suffixes out: materialize the
-						// shared prefix once, hand every chunk but the first
-						// to the pool for snapshot adoption, and keep the
-						// first for the in-place fork path below. A context
-						// that cannot be made portable (Materialize error)
-						// runs the whole group sequentially here instead.
-						if n := min(forkWorkers, len(g.cells)); n > 1 {
-							capStart := time.Now()
-							ps, err := runner.Materialize()
-							capDur := time.Since(capStart)
-							if err == nil {
-								mu.Lock()
-								snapBytes += ps.Bytes()
-								snapCapNS += capDur.Nanoseconds()
-								if treeStats[rep] == nil {
-									treeStats[rep] = &treeStat{start: treeStart}
-								}
-								mu.Unlock()
-								per := (len(g.cells) + n - 1) / n
-								mine = g.cells[:per]
-								for lo := per; lo < len(g.cells); lo += per {
-									hi := min(lo+per, len(g.cells))
-									ch := &adoptChunk{ps: ps, at: g.at, seed: treeSeed, rep: rep, cells: g.cells[lo:hi]}
-									for _, ci := range ch.cells {
-										handedOff[ci] = true
-									}
-									enqueue(job{cell: -1, chunk: ch})
-								}
-							}
+					reached = at
+					group := owed[lo[gi]:lo[gi+1]]
+					n := max(1, min(forkWorkers, len(group)))
+					per := (len(group) + n - 1) / n
+					if per < len(group) {
+						mu.Lock()
+						snapBytes += ps.Bytes()
+						snapCapNS += capDur.Nanoseconds()
+						if treeStats[rep] == nil {
+							treeStats[rep] = &treeStat{start: treeStart}
 						}
-						runner.Snapshot()
-						nGroups++
-						for _, ci := range mine {
-							c := cells[ci]
-							sc := opts.Scenarios[c.scenIdx]
-							cellStart := time.Now()
-							rp := runner.Fork(cellConfig(&opts, sc, treeSeed, nil))
-							wall := time.Since(cellStart).Seconds()
-							res := RunResult{
-								Scenario: sc.Name,
-								Rep:      c.rep,
-								Seed:     treeSeed,
-								Scale:    opts.Base.WorkScale,
-								HHours:   opts.Base.HHours,
-								Metrics:  ExtractMetrics(rp),
-							}
-							if opts.Checkpoint != nil {
-								opts.Checkpoint.Record(res)
-							}
-							treeDone[ci] = true
-							nHits++
-							saved += float64(g.at) / float64(sim.Week)
-							finish(ci, res, false, wall)
-						}
-						if gi < len(groups)-1 {
-							runner.Restore()
-						}
+						mu.Unlock()
 					}
-					// The shared prefix itself was simulated once, to the
-					// deepest divergence point.
-					saved -= float64(groups[len(groups)-1].at) / float64(sim.Week)
-					mu.Lock()
-					prefixGroups += nGroups
-					prefixHits += nHits
-					savedWeeks += saved
-					mu.Unlock()
-					return true
-				}()
+					for from := per; from < len(group); from += per {
+						enqueue(job{cell: -1, chunk: &forkChunk{
+							ps: ps, at: at, seed: treeSeed, rep: rep,
+							cells: group[from:min(from+per, len(group))], pooled: true,
+						}})
+					}
+					runChunk(&forkChunk{ps: ps, at: at, seed: treeSeed, rep: rep, cells: group[:per]})
+				}
+				// The shared prefix itself was simulated once, to the
+				// deepest divergence point reached.
 				mu.Lock()
-				if st := treeStats[rep]; st != nil {
-					st.cost += time.Since(treeStart).Seconds()
-					if t := time.Now(); t.After(st.end) {
-						st.end = t
-					}
-				}
+				savedWeeks -= float64(reached) / float64(sim.Week)
+				treeWork(rep, treeStart)
 				mu.Unlock()
-				if !ok {
-					// The panic may have left the pooled context mid-run and
-					// inconsistent; rebuild it and run the unfinished cells
-					// standalone (same seed, so results are unchanged).
-					runner = project.NewRunner()
-					for _, g := range groups {
-						for _, ci := range g.cells {
-							if !treeDone[ci] && !handedOff[ci] {
-								runStandalone(ci)
-							}
-						}
-					}
-				}
 			}
 
 			for j := range jobs {
@@ -658,7 +643,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 
 	// The queue is buffered for every job that can exist (jobList plus the
-	// worst-case adopt-chunk fan-out), so enqueue never blocks: workers can
+	// worst-case pooled-chunk fan-out), so enqueue never blocks: workers can
 	// publish chunks from inside a job without deadlocking on the channel.
 	// Close once all enqueued work — including chunks enqueued later — is
 	// done.
@@ -690,7 +675,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		}
 	}
 	sw := &Sweep{
-		Results: finished, Failed: failed, Resumed: resumed,
+		Results: finished, Failed: failed, Resumed: resumed, Fallbacks: fallbacks,
 		PrefixGroups: prefixGroups, PrefixHits: prefixHits, SavedSimWeeks: savedWeeks,
 		SnapshotBytes: snapBytes, SnapshotCaptureNS: snapCapNS, SnapshotAdoptNS: adoptNS,
 		AdoptedRunners: adopted, ForksParallel: forksPar,

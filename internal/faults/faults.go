@@ -68,7 +68,8 @@ type Config struct {
 	// A lost upload is retried up to UploadRetries times, each retry
 	// delayed by UploadRetryDelay (default 30 min) with ±50% seeded
 	// jitter; when the budget runs out the result is dropped and the
-	// server's deadline wheel eventually reissues the work.
+	// server's deadline wheel eventually reissues the work. UploadRetries
+	// is at most maxUploadRetries (255).
 	UploadLossProb   float64
 	UploadRetries    int
 	UploadRetryDelay float64
@@ -118,6 +119,8 @@ func (c Config) Normalized() Config {
 		panic(fmt.Sprintf("faults: UploadLossProb %v outside [0,1)", c.UploadLossProb))
 	case c.UploadRetries < 0 || c.UploadRetryDelay < 0:
 		panic(fmt.Sprintf("faults: negative upload retry budget or delay %+v", c))
+	case c.UploadRetries > maxUploadRetries:
+		panic(fmt.Sprintf("faults: UploadRetries %d above %d", c.UploadRetries, maxUploadRetries))
 	case c.ChurnPerWeek < 0 || c.ChurnPerWeek > 1:
 		panic(fmt.Sprintf("faults: ChurnPerWeek %v outside [0,1]", c.ChurnPerWeek))
 	case c.BackoffBase < 0 || c.BackoffCap < 0 || c.ReconnectSmear < 0:

@@ -76,6 +76,22 @@ func TestNormalizedPanics(t *testing.T) {
 	}
 }
 
+// TestNormalizedRetryBudgetFitsDescriptor: an in-flight retry keeps its
+// remaining budget in a one-byte descriptor slot, so normalisation accepts
+// 255 retries and rejects 256 instead of letting a snapshot export fail
+// mid-run.
+func TestNormalizedRetryBudgetFitsDescriptor(t *testing.T) {
+	if got := (Config{UploadLossProb: 0.1, UploadRetries: 255}).Normalized().UploadRetries; got != 255 {
+		t.Fatalf("UploadRetries 255 normalized to %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("UploadRetries 256 did not panic at normalisation")
+		}
+	}()
+	Config{UploadLossProb: 0.1, UploadRetries: 256}.Normalized()
+}
+
 func TestEnabled(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Enabled() {

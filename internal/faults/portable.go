@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/wcg"
@@ -33,15 +31,15 @@ func (p *PortablePlane) Bytes() int {
 	return snapshot.Size(p.attempt) + snapshot.Size(p.epoch) + snapshot.Size(p.upSeq)
 }
 
+// maxUploadRetries is the largest retry budget a config may carry: an
+// in-flight retry event keeps its remaining budget in the one-byte K1
+// slot of its CallUploadRetry descriptor, from which snapshot adoption
+// revives it.
+const maxUploadRetries = 255
+
 // ExportPortable deep-copies the plane's mutable state into a portable
-// snapshot. The retry budget must fit the one-byte slot of the
-// CallUploadRetry descriptor that in-flight retry events are revived
-// from; a larger budget makes the export fail and the caller falls back
-// to the sequential in-place path.
-func (p *Plane) ExportPortable() (*PortablePlane, error) {
-	if p.cfg.UploadRetries > 255 {
-		return nil, fmt.Errorf("faults: portable export supports at most 255 upload retries (got %d)", p.cfg.UploadRetries)
-	}
+// snapshot.
+func (p *Plane) ExportPortable() *PortablePlane {
 	return &PortablePlane{
 		winIdx:         p.winIdx,
 		outageNoted:    p.outageNoted,
@@ -52,7 +50,7 @@ func (p *Plane) ExportPortable() (*PortablePlane, error) {
 		upSeq:          snapshot.Clone(p.upSeq),
 		churnCarry:     p.churnCarry,
 		stats:          p.Stats,
-	}, nil
+	}
 }
 
 // AdoptPortable installs a portable plane snapshot into this plane. The

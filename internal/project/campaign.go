@@ -289,10 +289,10 @@ type Campaign struct {
 	pooled bool
 
 	// Run-phase tickers, installed by start/startSharded and stopped by
-	// finish/finishSharded. Struct fields (not Run locals) so the fork path
-	// can capture their stopped flags alongside a snapshot; each ticker
-	// owns one engine-arena event for its whole life, so the pointers stay
-	// valid across a snapshot restore.
+	// finish/finishSharded. Struct fields (not Run locals) so snapshot
+	// adoption can rebuild them as dormant tickers and hand each its
+	// adopted pending tick; each ticker owns one engine-arena event for
+	// its whole life.
 	weekly, daily, churn, sampler *sim.Ticker
 }
 
@@ -301,6 +301,16 @@ type Campaign struct {
 func checkConfig(cfg Config) Config {
 	if cfg.DS == nil || cfg.M == nil {
 		panic("project: config needs dataset and matrix")
+	}
+	// NaN slips through every range check below (all its comparisons are
+	// false), so non-finite scales are rejected up front.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"WorkScale", cfg.WorkScale}, {"HostScale", cfg.HostScale}, {"HHours", cfg.HHours}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			panic(fmt.Sprintf("project: %s %v is not finite", f.name, f.v))
+		}
 	}
 	if cfg.HHours <= 0 {
 		cfg.HHours = DeployedHHours
@@ -451,9 +461,12 @@ func (c *Campaign) reset(cfg Config) {
 type Runner struct {
 	c *Campaign
 
-	// snap holds the Begin/RunTo/Snapshot/Fork path's capture buffers
-	// (fork.go); one snapshot at a time, reused across groups and runs.
-	snap runSnapshot
+	// cur is the current snapshot of the Begin/RunTo/Snapshot/Fork path
+	// (fork.go), the one Restore and Fork adopt; atCur records that the
+	// live context still stands exactly on it (captured or adopted,
+	// nothing run since), so adopting it again is a no-op.
+	cur   *PortableSnapshot
+	atCur bool
 }
 
 // NewRunner returns an empty runner; the first Run builds its arenas.
@@ -462,6 +475,14 @@ func NewRunner() *Runner { return &Runner{} }
 // Run simulates one campaign, reusing the previous run's storage.
 // Reports are bit-for-bit identical to New(cfg).Run() for the same cfg.
 func (r *Runner) Run(cfg Config) *Report {
+	r.arm(cfg)
+	return r.c.Run()
+}
+
+// arm readies the pooled run context for cfg: the first call builds every
+// arena, later calls reset them.
+func (r *Runner) arm(cfg Config) {
+	r.atCur = false
 	if r.c == nil {
 		r.c = New(cfg)
 		r.c.pooled = true
@@ -471,7 +492,6 @@ func (r *Runner) Run(cfg Config) *Report {
 	} else {
 		r.c.reset(cfg)
 	}
-	return r.c.Run()
 }
 
 // Run executes the campaign and returns its report.
@@ -489,9 +509,9 @@ func (c *Campaign) Run() *Report {
 // start arms the legacy-kernel run: batches prepared, callbacks bound,
 // probe attached, phase/feeder/churn tickers installed. The weekly loop
 // keeps its state in the tenant (t.done, t.doneWeek, t.snapIdx) rather
-// than in closure cells so a tenant snapshot carries the loop state and a
-// restored fork resumes it; the split into start / engine run / finish is
-// what lets the fork path (fork.go) stop the run at a divergence time.
+// than in closure cells so a snapshot carries the loop state and a fork
+// off it resumes it; the split into start / engine run / finish is what
+// lets the fork path (fork.go) stop the run at a divergence time.
 func (c *Campaign) start() {
 	cfg := &c.t.cfg
 	c.t.prepare()

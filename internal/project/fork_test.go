@@ -35,7 +35,7 @@ func forkHash(t *testing.T, r *Runner, base, cell Config) string {
 // forked config — on the legacy and the sharded kernel, from a fresh and
 // from a dirty (pooled) runner, and repeatedly from one snapshot. Forking
 // the base config itself must reproduce the goldenSeed777 bytes, so the
-// whole snapshot/restore cycle is anchored to the pre-fork golden hash.
+// whole snapshot/adopt cycle is anchored to the pre-fork golden hash.
 func TestForkEqualsStraightRun(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		base := determinismConfig(t, 777)
@@ -57,9 +57,9 @@ func TestForkEqualsStraightRun(t *testing.T) {
 		if got := reportHash(t, r.Fork(cell)); got != straightCell {
 			t.Errorf("shards=%d: fork(cell) hash = %s, want straight-run %s", shards, got, straightCell)
 		}
-		// Same snapshot again: the restore must leave no residue.
+		// Same snapshot again: the adoption must leave no residue.
 		if got := reportHash(t, r.Fork(cell)); got != straightCell {
-			t.Errorf("shards=%d: second fork(cell) hash differs — restore leaks state", shards)
+			t.Errorf("shards=%d: second fork(cell) hash differs — adoption leaks state", shards)
 		}
 
 		// Dirty runner: arenas carry a finished unrelated run.
@@ -72,7 +72,7 @@ func TestForkEqualsStraightRun(t *testing.T) {
 }
 
 // TestForkRestoreContinuesPrefix pins the prefix-tree walk: fork a group,
-// restore, run the prefix further, snapshot again, fork again — each fork
+// Restore (adopt the snapshot again), run the prefix further, snapshot again, fork again — each fork
 // still byte-identical to its straight run.
 func TestForkRestoreContinuesPrefix(t *testing.T) {
 	base := determinismConfig(t, 777)

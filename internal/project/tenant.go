@@ -65,7 +65,7 @@ type tenant struct {
 
 	// Weekly-loop state, shared by the single-project Campaign and the
 	// Grid co-run. Tenant fields (not run-locals) so a snapshot of the
-	// tenant carries the loop state across a fork restore.
+	// tenant carries the loop state into an adopted fork.
 	done     bool
 	doneWeek float64
 	snapIdx  int

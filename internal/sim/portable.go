@@ -2,11 +2,10 @@ package sim
 
 import "fmt"
 
-// This file is the engine half of the portable-snapshot contract (see
+// This file is the engine half of the snapshot contract (see
 // internal/snapshot): exporting a schedule as passive descriptors and
-// rebuilding it inside a different engine. The in-place snapshot path in
-// snapshot.go keeps *Event pointers because it restores into the engine
-// that created them; a portable snapshot cannot, so events travel as
+// rebuilding it inside an engine — the same one or a different one. A
+// snapshot holds no *Event pointers or closures, so events travel as
 // (time, seq, Call) triples and the adopting side re-binds callbacks from
 // the Call descriptors against its own model objects.
 
@@ -22,8 +21,7 @@ type PortableEvent struct {
 // ExportEvents returns every live (non-cancelled) event in the schedule
 // as portable descriptors. It fails if any live event is untagged
 // (Call.Kind == CallNone) or is an observer event: neither can be rebuilt
-// on an adopting engine, and the caller is expected to fall back to
-// non-portable execution. Order follows the heap array and is
+// on an adopting engine. Order follows the heap array and is
 // deterministic for a deterministic run; adoption keys only on (At, Seq).
 func (e *Engine) ExportEvents() ([]PortableEvent, error) {
 	out := make([]PortableEvent, 0, len(e.queue))

@@ -75,7 +75,7 @@ func (p *PortablePopulation) Bytes() int {
 // ExportPortable deep-copies the population's mutable state into a
 // portable snapshot. Multi-project (multiplexed) populations are not
 // portable — the shared debt slab and per-port state have no translation
-// yet — so the caller falls back to the sequential in-place path.
+// yet — so the export fails for them.
 func (p *Population) ExportPortable() (*PortablePopulation, error) {
 	if p.mux != nil {
 		return nil, fmt.Errorf("volunteer: portable export does not support multiplexed populations")

@@ -8,11 +8,10 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Portable server snapshots (see the snapshot package doc): unlike
-// ServerSnapshot, which aliases the live server's backing arrays and
-// restores in place, PortableServer owns every byte it holds and names
-// arena objects by allocation index, so a different pooled server — which
-// re-carves the same objects in the same order — can adopt it. Closure
+// Portable server snapshots (see the snapshot package doc):
+// PortableServer owns every byte it holds and names arena objects by
+// allocation index, so any pooled server — which re-carves the same
+// objects in the same order — can adopt it. Closure
 // state (policy method values, drain closures, completion hooks) is never
 // exported: the adopter re-binds it with the same Reset/bind machinery a
 // fresh run uses, then resolves indices back to its own pointers.

@@ -477,6 +477,23 @@ func (s *Server) Reset(cfg Config) {
 	s.OnQuorumSwitch = nil
 }
 
+// ApplyConfig swaps the configuration in force mid-run, at a fork point:
+// after a snapshot adoption, the forked cell's config replaces the shared
+// prefix's before the suffix runs. Only fields whose effect is lazily
+// read may differ from the config the prefix ran under — the quorum
+// fields (refreshQuorum picks the change up at the next public entry,
+// firing OnQuorumSwitch exactly as a straight run would) — and the
+// outage schedule header is refreshed from the new config, which must
+// describe the same windows. Everything resolved at bind time must be
+// identical: Scheduler, Validator, DeadlinePolicy and Deadline are NOT
+// re-bound here. The experiment layer's prefix grouping enforces these
+// constraints on grouped scenarios.
+func (s *Server) ApplyConfig(cfg Config) {
+	checkConfig(cfg)
+	s.cfg = cfg
+	s.outages = cfg.Outages
+}
+
 // Deadline returns the server's base reissue deadline: how long a copy of
 // the default class may stay out before a replacement is issued. Agents
 // use it to model how late a reconnecting device's result arrives; with a
