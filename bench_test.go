@@ -122,6 +122,7 @@ func recordBench(b *testing.B, name, label string, cfg project.Config, rep *proj
 		SimWeeks:        rep.WeeksElapsed,
 		ResultsReceived: rep.ServerStats.Received,
 	}
+	run.StampMachine()
 	if cfg.HostScale != cfg.WorkScale {
 		run.HostScale = cfg.HostScale
 	}
@@ -251,6 +252,7 @@ func BenchmarkSharedGrid2Proj(b *testing.B) {
 			SimWeeks:        rep.WeeksElapsed,
 			ResultsReceived: results,
 		}
+		run.StampMachine()
 		if err := experiment.AppendBenchRun(path, run); err != nil {
 			b.Fatalf("recording bench run: %v", err)
 		}
@@ -386,6 +388,7 @@ func BenchmarkSweepForked(b *testing.B) {
 			AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / int64(b.N),
 			SimWeeks:    sweep.SavedSimWeeks,
 		}
+		run.StampMachine()
 		if err := experiment.AppendBenchRun(path, run); err != nil {
 			b.Fatalf("recording bench run: %v", err)
 		}
@@ -467,6 +470,7 @@ func BenchmarkSweepForkedParallel(b *testing.B) {
 			AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / int64(b.N),
 			SimWeeks:    sweep.SavedSimWeeks,
 		}
+		run.StampMachine()
 		if err := experiment.AppendBenchRun(path, run); err != nil {
 			b.Fatalf("recording bench run: %v", err)
 		}

@@ -52,12 +52,12 @@
 // fan-out line change. Fork work that panics is rerun standalone and
 // counted on the summary's prefix-sharing line.
 //
-// -shards K runs every cell on the sharded campaign kernel with K worker
-// shards instead of the legacy single-heap kernel. Results are
-// byte-identical either way (the sharded kernel is golden-hash pinned to
-// the legacy one), so it composes freely with -resume and every scenario;
-// it pays off at large -scale host populations. Ignored with -corun: the
-// shared multi-project grid runs on the legacy population plane.
+// -shards K runs every cell's campaign kernel with K worker shards
+// (default one). Results are byte-identical for every K (golden-hash
+// pinned), so it composes freely with -resume and every scenario; more
+// shards pay off at large -scale host populations. Ignored with -corun:
+// the shared multi-project grid runs on its own host population, which
+// has no shards.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -142,7 +142,7 @@ func run() (err error) {
 	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
 	reps := flag.Int("reps", 3, "replications per scenario")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-campaign sharded-kernel shards (0 = legacy kernel; results are byte-identical either way; ignored with -corun)")
+	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = one shard; results are byte-identical for every value; ignored with -corun)")
 	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; ignored with -corun)")
 	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt portable snapshots on this many pooled runners (0 = -workers; 1 = sequential forks)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")

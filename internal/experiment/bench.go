@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 )
 
 // BenchSchema identifies the BENCH_campaign.json layout.
@@ -13,15 +16,20 @@ const BenchSchema = "bench-campaign/v1"
 // trajectory every PR is judged against. Wall-clock and allocation figures
 // come from the Go benchmark harness; events and queue depth come from the
 // simulation kernel itself, so a run is comparable across machines (same
-// events executed) and within a machine (ns/op).
+// events executed) and within a machine (ns/op). The machine stamp (CPU,
+// NProc, GoMaxProcs, GoVersion) says which machine a row's wall time
+// belongs to.
 type BenchRun struct {
 	Benchmark       string  `json:"benchmark"`              // e.g. "BenchmarkCampaignFullScale"
 	Label           string  `json:"label"`                  // e.g. "post-refactor (PR 2)"
 	Date            string  `json:"date,omitempty"`         // YYYY-MM-DD the run was recorded
-	CPU             string  `json:"cpu,omitempty"`          // informational; ns/op is machine-bound
+	CPU             string  `json:"cpu,omitempty"`          // CPU model; ns/op is machine-bound
+	NProc           int     `json:"nproc,omitempty"`        // logical CPUs of the machine
+	GoMaxProcs      int     `json:"gomaxprocs,omitempty"`   // GOMAXPROCS of the run
+	GoVersion       string  `json:"go_version,omitempty"`   // toolchain that built the run
 	Scale           float64 `json:"scale"`                  // WorkScale of the run
 	HostScale       float64 `json:"host_scale,omitempty"`   // only when ≠ Scale (grid-growth runs)
-	Shards          int     `json:"shards,omitempty"`       // sharded-kernel runs (0 = legacy kernel)
+	Shards          int     `json:"shards,omitempty"`       // host-kernel shards as configured (0 = one)
 	HostsJoined     int     `json:"hosts_joined,omitempty"` // volunteers that ever joined (churn included)
 	NsPerOp         int64   `json:"ns_per_op"`              // wall-clock per campaign
 	BytesPerOp      int64   `json:"bytes_per_op"`           // heap allocated per campaign
@@ -30,6 +38,33 @@ type BenchRun struct {
 	PeakQueueDepth  int     `json:"peak_queue_depth"`       // event-queue high-water mark
 	SimWeeks        float64 `json:"sim_weeks"`              // simulated campaign duration
 	ResultsReceived int64   `json:"results_received"`       // returned results per campaign
+}
+
+// StampMachine records the machine the run is measured on: the CPU model
+// from /proc/cpuinfo when readable, the logical CPU count, GOMAXPROCS and
+// the Go version.
+func (r *BenchRun) StampMachine() {
+	r.CPU = cpuModel()
+	r.NProc = runtime.NumCPU()
+	r.GoMaxProcs = runtime.GOMAXPROCS(0)
+	r.GoVersion = runtime.Version()
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// the file is absent or has none.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // BenchFile is the on-disk BENCH_campaign.json: an append-mostly log of

@@ -3,6 +3,8 @@ package experiment
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -114,5 +116,28 @@ func TestReadBenchFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadBenchFile(path); err == nil {
 		t.Fatal("expected parse error")
+	}
+}
+
+func TestBenchRunStampMachine(t *testing.T) {
+	run := BenchRun{Benchmark: "BenchmarkCampaignCI", Label: "stamped"}
+	run.StampMachine()
+	if run.NProc != runtime.NumCPU() || run.GoMaxProcs != runtime.GOMAXPROCS(0) || run.GoVersion != runtime.Version() {
+		t.Fatalf("machine stamp %+v does not match the runtime", run)
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && strings.Contains(string(info), "model name") && run.CPU == "" {
+		t.Error("/proc/cpuinfo names a CPU model but the stamp is empty")
+	}
+
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := AppendBenchRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := f.LatestRun("BenchmarkCampaignCI"); got != run {
+		t.Fatalf("stamped row did not round-trip: %+v, want %+v", got, run)
 	}
 }

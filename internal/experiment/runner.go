@@ -111,11 +111,11 @@ type Options struct {
 	// Workers bounds the goroutine pool; 0 means GOMAXPROCS.
 	Workers int
 
-	// Shards selects the sharded campaign kernel for every cell (0 = the
-	// legacy single-heap kernel). The shard count never changes simulation
-	// results — sharded runs are byte-identical to sequential and legacy
-	// ones — so it is not part of the checkpoint key and checkpointed
-	// cells from a differently-sharded sweep stay valid.
+	// Shards sets every cell's host-kernel shard count (0 keeps the base
+	// config's, whose default is one shard). The shard count never changes
+	// simulation results — runs are byte-identical at every K — so it is
+	// not part of the checkpoint key and checkpointed cells from a
+	// differently-sharded sweep stay valid.
 	Shards int
 
 	// BaseSeed is mixed with the scenario and replication indexes to derive

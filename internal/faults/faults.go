@@ -3,10 +3,10 @@
 // upload-loss with retry budgets, and permanent host departure with
 // replacement joins (churn). Every fault is an ordinary kernel event or a
 // pure function of (seed, host, attempt) — never ambient randomness — so a
-// fault scenario is byte-reproducible, independent of shard count, and
-// identical between the legacy host loop and the sharded SoA kernel.
+// fault scenario is byte-reproducible and independent of the host kernel's
+// shard count.
 //
-// The plane sits between the host kernels and the middleware as a
+// The plane sits between the host kernel and the middleware as a
 // volunteer.WorkSource wrapper (it also implements volunteer.RetryAdvisor,
 // replacing the flat IdleRetry with capped exponential backoff while the
 // server is down). The outage schedule itself is enforced by wcg.Server —
@@ -22,12 +22,12 @@
 //     smear) come from a stateless splitmix-style hash of (seed, host,
 //     sequence), so they are independent of the order hosts are simulated
 //     in — the property that keeps K=1 and K=8 byte-equal.
-//   - Churn uses the population's existing SetTarget machinery at a fixed
+//   - Churn uses the host kernel's existing SetTarget machinery at a fixed
 //     ticker cadence; replacement hosts draw their seeds from the same
-//     FIFO seed stream both kernels already share.
+//     FIFO population seed stream as every other join.
 //
-// A nil *Config (the default) leaves every code path untouched: the kernels
-// bind the raw *wcg.Server, the server has no outage windows, and report
+// A nil *Config (the default) leaves every code path untouched: the kernel
+// binds the raw *wcg.Server, the server has no outage windows, and report
 // bytes are identical to the pre-fault-plane code.
 package faults
 
@@ -305,8 +305,8 @@ type Plane struct {
 	recoverPending bool // a window ended; waiting for the first dispatch
 	lastEnd        float64
 
-	// Per-host state, grown on demand (host IDs are dense in both
-	// kernels). attempt/epoch implement per-window backoff; upSeq numbers
+	// Per-host state, grown on demand (host IDs are dense join
+	// indexes). attempt/epoch implement per-window backoff; upSeq numbers
 	// a host's upload attempts for the loss hash.
 	attempt []int32
 	epoch   []int32 // window index the attempt counter belongs to, -1 = none

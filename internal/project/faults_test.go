@@ -10,10 +10,10 @@ import (
 
 // faultStressConfig is the determinism configuration with every fault class
 // turned on at once: weekly maintenance, frequent unplanned outages, a
-// lossy uplink with retries, and heavy churn. The kernel-equality tests run
-// it because faults exercise exactly the paths that could diverge between
-// the legacy host loop and the sharded kernel (backoff scheduling, retry
-// events, churn replacements).
+// lossy uplink with retries, and heavy churn. The shard-count equality
+// tests run it because faults exercise exactly the paths that could
+// diverge between shard counts (backoff scheduling, retry events, churn
+// replacements).
 func faultStressConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := determinismConfig(t, seed)
@@ -30,30 +30,30 @@ func faultStressConfig(t *testing.T, seed uint64) Config {
 }
 
 // TestFaultRunByteEqualAcrossKernels is the tentpole invariant: a fault
-// scenario produces byte-identical reports on the legacy kernel and on the
-// sharded kernel at every shard count, fresh and pooled.
+// scenario produces byte-identical reports on the default kernel (K=1)
+// and at every other shard count, fresh and pooled.
 func TestFaultRunByteEqualAcrossKernels(t *testing.T) {
-	legacy := renderReport(t, New(faultStressConfig(t, 777)).Run())
-	if !bytes.Contains(legacy, []byte(`"Faults"`)) {
+	base := renderReport(t, New(faultStressConfig(t, 777)).Run())
+	if !bytes.Contains(base, []byte(`"Faults"`)) {
 		t.Fatal("fault run report carries no Faults section")
 	}
 	for _, k := range []int{1, 4, 8} {
 		cfg := faultStressConfig(t, 777)
 		cfg.Shards = k
-		if got := renderReport(t, New(cfg).Run()); !bytes.Equal(got, legacy) {
-			t.Errorf("shards=%d fault report differs from the legacy kernel's", k)
+		if got := renderReport(t, New(cfg).Run()); !bytes.Equal(got, base) {
+			t.Errorf("shards=%d fault report differs from the default kernel's", k)
 		}
 	}
 	// Pooled: arenas dirtied by a different fault run, then the same cell.
 	runner := NewRunner()
 	runner.Run(faultStressConfig(t, 778))
-	if got := renderReport(t, runner.Run(faultStressConfig(t, 777))); !bytes.Equal(got, legacy) {
-		t.Error("pooled fault report differs from the fresh legacy run")
+	if got := renderReport(t, runner.Run(faultStressConfig(t, 777))); !bytes.Equal(got, base) {
+		t.Error("pooled fault report differs from the fresh default run")
 	}
 	pooledSharded := faultStressConfig(t, 777)
 	pooledSharded.Shards = 4
-	if got := renderReport(t, runner.Run(pooledSharded)); !bytes.Equal(got, legacy) {
-		t.Error("pooled sharded fault report differs from the fresh legacy run")
+	if got := renderReport(t, runner.Run(pooledSharded)); !bytes.Equal(got, base) {
+		t.Error("pooled K=4 fault report differs from the fresh default run")
 	}
 }
 
@@ -68,8 +68,8 @@ func TestZeroFaultConfigKeepsGoldenBytes(t *testing.T) {
 		t.Errorf("disabled fault config hash = %s, want golden %s", got, goldenSeed777)
 	}
 
-	// The pooled fault→zero-fault transition is the Rebind regression: the
-	// population must re-attach to the raw server once the plane goes away.
+	// The pooled fault→zero-fault transition is the rebind regression: the
+	// kernel must re-attach to the raw server once the plane goes away.
 	runner := NewRunner()
 	runner.Run(faultStressConfig(t, 778))
 	if got := reportHash(t, runner.Run(determinismConfig(t, 777))); got != goldenSeed777 {
@@ -78,7 +78,7 @@ func TestZeroFaultConfigKeepsGoldenBytes(t *testing.T) {
 	shardedZero := determinismConfig(t, 777)
 	shardedZero.Shards = 4
 	if got := reportHash(t, runner.Run(shardedZero)); got != goldenSeed777 {
-		t.Errorf("pooled fault→zero-fault sharded hash = %s, want golden %s", got, goldenSeed777)
+		t.Errorf("pooled fault→zero-fault K=4 hash = %s, want golden %s", got, goldenSeed777)
 	}
 }
 

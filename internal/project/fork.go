@@ -67,11 +67,7 @@ func (c *Campaign) applyConfig(cfg Config) {
 func (r *Runner) Begin(cfg Config) {
 	r.arm(cfg)
 	r.cur = nil
-	if r.c.t.cfg.Shards > 0 {
-		r.c.startSharded()
-	} else {
-		r.c.start()
-	}
+	r.c.start()
 }
 
 // RunTo executes every event with a timestamp strictly before at, in
@@ -79,11 +75,7 @@ func (r *Runner) Begin(cfg Config) {
 // advancing the clock to it.
 func (r *Runner) RunTo(at sim.Time) {
 	r.atCur = false
-	if r.c.t.cfg.Shards > 0 {
-		r.c.kern.RunBefore(at)
-	} else {
-		r.c.engine.RunBefore(at)
-	}
+	r.c.kern.RunBefore(at)
 }
 
 // Snapshot captures the run context at the current event boundary as the
@@ -104,11 +96,7 @@ func (r *Runner) Fork(cfg Config) *Report {
 	r.Restore()
 	r.atCur = false
 	r.c.applyConfig(cfg)
-	if r.c.t.cfg.Shards > 0 {
-		r.c.kern.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
-		return r.c.finishSharded()
-	}
-	r.c.engine.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
+	r.c.kern.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
 	return r.c.finish()
 }
 

@@ -419,7 +419,7 @@ func (g *Grid) finishReport(allDone bool) {
 	r.EventsExecuted = g.engine.Executed()
 	r.PeakPending = g.engine.MaxPending()
 	r.MeanSpeedDown = g.pop.MeanSpeedDown()
-	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditPopulation(g.pop, g.ledger)
+	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(g.pop, g.ledger)
 
 	if !g.windowClosed {
 		// No tenant finished: the whole run was contended.

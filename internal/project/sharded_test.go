@@ -8,8 +8,8 @@ import (
 	"repro/internal/wcg"
 )
 
-// shardedConfig returns the determinism configuration running on the
-// sharded kernel with K shards.
+// shardedConfig returns the determinism configuration running the host
+// kernel with K shards.
 func shardedConfig(t *testing.T, seed uint64, shards int) Config {
 	t.Helper()
 	cfg := determinismConfig(t, seed)
@@ -17,22 +17,24 @@ func shardedConfig(t *testing.T, seed uint64, shards int) Config {
 	return cfg
 }
 
-// TestShardedMatchesLegacyGolden pins the sharded kernel — sequential
-// (K=1) and parallel (K=4) — to the SAME golden report hashes the legacy
-// single-heap kernel recorded in PR 5/6: the SoA plane and the time-window
-// merge must be byte-invisible, not merely self-consistent.
-func TestShardedMatchesLegacyGolden(t *testing.T) {
+// TestShardCountsMatchGolden pins the host kernel at an explicit K —
+// sequential (K=1) and parallel (K=4) — to the SAME golden report hashes
+// the default configuration (Shards 0) reproduces, which the per-Host
+// event loop recorded before the shared-grid refactor: the SoA plane and
+// the time-window merge must be byte-invisible, not merely
+// self-consistent.
+func TestShardCountsMatchGolden(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		if got := reportHash(t, New(shardedConfig(t, 777, shards)).Run()); got != goldenSeed777 {
-			t.Errorf("sharded(K=%d) seed-777 hash = %s, want legacy golden %s", shards, got, goldenSeed777)
+			t.Errorf("K=%d seed-777 hash = %s, want golden %s", shards, got, goldenSeed777)
 		}
 		if got := reportHash(t, New(shardedConfig(t, 778, shards)).Run()); got != goldenSeed778 {
-			t.Errorf("sharded(K=%d) seed-778 hash = %s, want legacy golden %s", shards, got, goldenSeed778)
+			t.Errorf("K=%d seed-778 hash = %s, want golden %s", shards, got, goldenSeed778)
 		}
 	}
 }
 
-// TestShardedPooledMatchesGolden pins the pooled sharded path to the same
+// TestShardedPooledMatchesGolden pins the pooled path at K > 1 to the same
 // golden hashes, with the arenas dirtied by runs under different seeds and
 // shard counts first (including a shard-count change mid-pool).
 func TestShardedPooledMatchesGolden(t *testing.T) {
@@ -47,19 +49,19 @@ func TestShardedPooledMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestShardedPooledModeSwitch runs legacy and sharded configurations back
-// to back on one pooled Runner: switching execution plans mid-pool must
-// not leak state either way.
+// TestShardedPooledModeSwitch runs K=1 and K=4 configurations back to
+// back on one pooled Runner: switching the shard count mid-pool must not
+// leak calendar state either way.
 func TestShardedPooledModeSwitch(t *testing.T) {
 	runner := NewRunner()
-	if got := reportHash(t, runner.Run(determinismConfig(t, 777))); got != goldenSeed777 {
-		t.Fatalf("pooled legacy seed-777 hash = %s, want golden %s", got, goldenSeed777)
+	if got := reportHash(t, runner.Run(shardedConfig(t, 777, 1))); got != goldenSeed777 {
+		t.Fatalf("pooled K=1 seed-777 hash = %s, want golden %s", got, goldenSeed777)
 	}
-	if got := reportHash(t, runner.Run(shardedConfig(t, 777, 3))); got != goldenSeed777 {
-		t.Errorf("legacy→sharded pooled switch: hash = %s, want golden %s", got, goldenSeed777)
+	if got := reportHash(t, runner.Run(shardedConfig(t, 777, 4))); got != goldenSeed777 {
+		t.Errorf("K=1→K=4 pooled switch: hash = %s, want golden %s", got, goldenSeed777)
 	}
-	if got := reportHash(t, runner.Run(determinismConfig(t, 778))); got != goldenSeed778 {
-		t.Errorf("sharded→legacy pooled switch: hash = %s, want golden %s", got, goldenSeed778)
+	if got := reportHash(t, runner.Run(shardedConfig(t, 778, 1))); got != goldenSeed778 {
+		t.Errorf("K=4→K=1 pooled switch: hash = %s, want golden %s", got, goldenSeed778)
 	}
 }
 
@@ -89,12 +91,12 @@ func TestShardedOneVsN(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		got := renderReport(t, New(shardedStressConfig(t, 909, shards)).Run())
 		if !bytes.Equal(base, got) {
-			t.Errorf("fresh sharded run K=%d diverged from K=1:\nK=1: %.200s…\nK=%d: %.200s…", shards, base, shards, got)
+			t.Errorf("fresh run K=%d diverged from K=1:\nK=1: %.200s…\nK=%d: %.200s…", shards, base, shards, got)
 		}
 	}
 	runner := NewRunner()
 	runner.Run(shardedStressConfig(t, 31, 2)) // dirty the arenas
 	if got := renderReport(t, runner.Run(shardedStressConfig(t, 909, 8))); !bytes.Equal(base, got) {
-		t.Errorf("pooled sharded run K=8 diverged from fresh K=1:\nfresh: %.200s…\npooled: %.200s…", base, got)
+		t.Errorf("pooled run K=8 diverged from fresh K=1:\nfresh: %.200s…\npooled: %.200s…", base, got)
 	}
 }

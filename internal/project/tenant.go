@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vftp"
-	"repro/internal/volunteer"
 	"repro/internal/wcg"
 	"repro/internal/workunit"
 )
@@ -387,19 +386,28 @@ func (t *tenant) finishReport(engine *sim.Engine, done bool, doneWeek float64) {
 	}
 }
 
-// creditPopulation runs the §8 points accounting over a host fleet: each
-// device's benchmark score is the reference score divided by its hardware
-// factor. Returns (points total, accounting bias, hardware trend). The
-// ledger's dense slices are reused across pooled runs.
-func creditPopulation(pop *volunteer.Population, ledger *credit.Ledger) (total, bias, trend float64) {
-	for _, h := range pop.Hosts() {
+// fleet is the host side a run reports on: a campaign's host kernel or a
+// grid's shared population.
+type fleet interface {
+	Active() int
+	TotalJoined() int
+	HostAccounting(i int) (hardware float64, joinedAt sim.Time, cpuSpent float64)
+}
+
+// creditFleet runs the §8 points accounting over a host fleet, in join
+// order: each device's benchmark score is the reference score divided by
+// its hardware factor. Returns (points total, accounting bias, hardware
+// trend). The ledger's dense slices are reused across pooled runs.
+func creditFleet(f fleet, ledger *credit.Ledger) (total, bias, trend float64) {
+	for id := 0; id < f.TotalJoined(); id++ {
+		hw, joined, cpu := f.HostAccounting(id)
 		ledger.Register(credit.Device{
-			ID:       h.ID,
-			Score:    credit.ReferenceScore / h.Hardware,
-			JoinedAt: h.JoinedAt,
+			ID:       id,
+			Score:    credit.ReferenceScore / hw,
+			JoinedAt: joined,
 		})
-		if h.CPUSpent > 0 {
-			if _, err := ledger.Credit(credit.Result{Device: h.ID, ReportedS: h.CPUSpent, At: h.JoinedAt}); err != nil {
+		if cpu > 0 {
+			if _, err := ledger.Credit(credit.Result{Device: id, ReportedS: cpu, At: joined}); err != nil {
 				panic(err) // devices were just registered; cannot happen
 			}
 		}

@@ -33,6 +33,17 @@
 // init, so pooled hosts (see the Reset contract below) resample it
 // exactly as fresh hosts would.
 //
+// # Host model and host kernels
+//
+// Host (below) is the reference host model: one struct per device whose
+// fetch-compute-report loop schedules its own sim.Engine events. It runs
+// the shared multi-project grid (a Population of hosts behind mux ports,
+// see below). A single-project campaign instead runs on the SoA
+// ShardKernel (kernel.go, plane.go), which mirrors Host draw for draw —
+// the same per-host streams, the same decisions in the same order — over
+// sharded window calendars, so the two are byte-identical on the same
+// single-project run.
+//
 // # Multi-project work fetch
 //
 // A host talks to the project side through the WorkSource interface
@@ -366,7 +377,7 @@ func (h *Host) requestWork() {
 			// exponential backoff during an outage, smear after maintenance.
 			d = h.retry.FetchRetryDelay(h.ID, d)
 		}
-		h.engine.ScheduleAfterCall(d, h.requestFn, sim.Call{Kind: sim.CallHostRequest, A0: int32(h.ID)})
+		h.engine.ScheduleAfter(d, h.requestFn)
 		return
 	}
 	if h.busy {
@@ -390,13 +401,22 @@ func (h *Host) requestWork() {
 		// much later and the (by then redundant) result is still counted.
 		if h.src.Bernoulli(h.cfg.LateReturnProb) {
 			delay := h.server.DeadlineFor(a) + h.src.Float64()*h.cfg.LateDelayMax
-			h.engine.ScheduleAfterCall(delay, h.lateReturnFn(a, reported),
-				sim.Call{Kind: sim.CallHostLate, A0: int32(h.ID), A1: wcg.AssignmentIndex(a), F0: reported})
+			h.engine.ScheduleAfter(delay, func() {
+				h.CPUSpent += reported
+				// A turned saboteur's results are invalid however they
+				// arrive — the late-return path must not hand a bad host
+				// valid results to rebuild validation trust with.
+				oc := wcg.OutcomeValid
+				if h.turned {
+					oc = wcg.OutcomeInvalid
+				}
+				h.server.CompleteFrom(a, oc, reported, h.ID)
+			})
 		}
 		// Either way this host moves on quickly (it is the task that
 		// stalls, not the device).
 		h.busy = false
-		h.engine.ScheduleAfterCall(h.cfg.IdleRetry, h.requestFn, sim.Call{Kind: sim.CallHostRequest, A0: int32(h.ID)})
+		h.engine.ScheduleAfter(h.cfg.IdleRetry, h.requestFn)
 		return
 	}
 
@@ -420,25 +440,7 @@ func (h *Host) requestWork() {
 		// the task's elapsed time stretches across the offline gaps.
 		delay = diurnalDelay(h.engine.Now(), wall, h.phase, h.onlineSpan)
 	}
-	h.engine.ScheduleAfterCall(delay, h.taskDoneFn, sim.Call{Kind: sim.CallHostTaskDone, A0: int32(h.ID)})
-}
-
-// lateReturnFn builds the late-upload closure for an abandoned task — the
-// §5.1 long-offline straggler. Split out of requestWork so snapshot
-// adoption can rebuild the identical closure, bound to the adopting
-// context's host and assignment, from a CallHostLate descriptor.
-func (h *Host) lateReturnFn(a *wcg.Assignment, reported float64) func() {
-	return func() {
-		h.CPUSpent += reported
-		// A turned saboteur's results are invalid however they
-		// arrive — the late-return path must not hand a bad host
-		// valid results to rebuild validation trust with.
-		oc := wcg.OutcomeValid
-		if h.turned {
-			oc = wcg.OutcomeInvalid
-		}
-		h.server.CompleteFrom(a, oc, reported, h.ID)
-	}
+	h.engine.ScheduleAfter(delay, h.taskDoneFn)
 }
 
 // taskDone reports the finished task and fetches the next one.

@@ -1,5 +1,6 @@
-// The deterministic sharded time-window kernel: the execution half of the
-// mega-grid data plane (see plane.go for the SoA layout).
+// The deterministic sharded time-window kernel: the host kernel of every
+// single-project campaign, the execution half of the SoA host plane (see
+// plane.go for the layout).
 //
 // # Shard time-window invariant
 //
@@ -14,24 +15,30 @@
 //
 // At each window barrier the K shard workers run in parallel, touching
 // only their own hosts (disjoint array ranges) and their own buckets:
-// they sort the window's bucket by (time, seq) and refill the consumed
-// per-host decision transcripts (plus, before a weekly tick, the spawn
-// slot pool). Between barriers a single goroutine merges the K sorted
-// bucket heads, the overlay heap and the engine's own heap in global
-// ascending (time, seq) order and executes the model serially.
+// they gather the window's bucket and sort it by (time, seq), and refill
+// the consumed per-host decision transcripts (plus, before a weekly tick,
+// the spawn slot pool). Between barriers a single goroutine merges the K
+// sorted bucket heads, the overlay heap and the engine's own heap in
+// global ascending (time, seq) order and executes the model serially.
 //
-// # Byte-identity with the sequential kernel
+// Each window bucket is a list of fixed-size chunks from a per-shard free
+// list, and the barrier gathers the window into a per-shard merge buffer
+// before sorting it, so the calendar retains about its live events plus
+// one chunk per live window, however busy an earlier window was.
 //
-// The legacy single-heap kernel breaks time ties FIFO by a sequence number
-// assigned at scheduling time. The sharded kernel draws its sequence
-// numbers from the same engine counter (Engine.TakeSeq) at exactly the
-// moments the legacy code would have scheduled, and mirrors the engine's
-// live/executed/clock accounting through ExternalSchedule/ExternalExecute.
-// Every model draw comes from the same per-host stream positions (see the
-// decision transcripts in plane.go). Shard count K therefore changes only
-// WHO precomputes a value, never the value or the execution order: reports
-// are byte-identical for K=1, K=N and the legacy kernel, fresh and pooled
-// (golden-hash tests in internal/project pin all three).
+// # Byte-identity with the per-Host reference
+//
+// The per-Host model (host.go) schedules every continuation on the engine
+// heap, which breaks time ties FIFO by a sequence number assigned at
+// scheduling time. The sharded kernel draws its sequence numbers from the
+// same engine counter (Engine.TakeSeq) at exactly the moments the per-Host
+// loop would have scheduled, and mirrors the engine's live/executed/clock
+// accounting through ExternalSchedule/ExternalExecute. Every model draw
+// comes from the same per-host stream positions (see the decision
+// transcripts in plane.go). Shard count K therefore changes only WHO
+// precomputes a value, never the value or the execution order: reports
+// are byte-identical for every K, fresh and pooled, and equal to the
+// golden hashes the per-Host loop recorded (internal/project pins them).
 package volunteer
 
 import (
@@ -76,10 +83,111 @@ func planeEventLess(a, b planeEvent) int {
 	return 0
 }
 
+// chunkSize is the event capacity of one calendar chunk.
+const chunkSize = 64
+
+// evChunk is one block of a window bucket's events, in insertion order.
+type evChunk struct {
+	ev   [chunkSize]planeEvent
+	n    int
+	next *evChunk
+}
+
+// shardCal is one shard's calendar: wins[w] holds the shard's events due
+// in [w·W, (w+1)·W) as a chunk list (head = the chunk being filled),
+// appended unsorted during the merge. The window barrier gathers the
+// armed window's chunks into cur, sorts it there and returns the chunks
+// to the shard's free list.
+type shardCal struct {
+	wins   []*evChunk
+	free   *evChunk
+	refill []int32      // hosts whose decision tuple was consumed this window
+	cur    []planeEvent // the armed window's events, sorted by (at, seq)
+	cursor int          // read index into cur
+}
+
+// push appends ev to window w's bucket.
+func (c *shardCal) push(w int, ev planeEvent) {
+	for len(c.wins) <= w {
+		c.wins = append(c.wins, nil)
+	}
+	head := c.wins[w]
+	if head == nil || head.n == chunkSize {
+		ch := c.free
+		if ch != nil {
+			c.free = ch.next
+		} else {
+			ch = &evChunk{}
+		}
+		ch.next = head
+		c.wins[w] = ch
+		head = ch
+	}
+	head.ev[head.n] = ev
+	head.n++
+}
+
+// gather moves window w's events into cur, sorted, and recycles their
+// chunks.
+func (c *shardCal) gather(w int) {
+	c.cur = c.cur[:0]
+	c.cursor = 0
+	if w >= len(c.wins) {
+		return
+	}
+	for ch := c.wins[w]; ch != nil; {
+		c.cur = append(c.cur, ch.ev[:ch.n]...)
+		next := ch.next
+		c.recycle(ch)
+		ch = next
+	}
+	c.wins[w] = nil
+	if len(c.cur) > 1 {
+		slices.SortFunc(c.cur, planeEventLess)
+	}
+}
+
+// recycle clears ch and pushes it on the free list.
+func (c *shardCal) recycle(ch *evChunk) {
+	clear(ch.ev[:ch.n])
+	ch.n = 0
+	ch.next = c.free
+	c.free = ch
+}
+
+// busy reports whether the shard's share of window w's barrier is worth a
+// goroutine: decisions to refill, or more than one event to sort.
+func (c *shardCal) busy(w int) bool {
+	if len(c.refill) > 0 {
+		return true
+	}
+	if w >= len(c.wins) || c.wins[w] == nil {
+		return false
+	}
+	return c.wins[w].n > 1 || c.wins[w].next != nil
+}
+
+// reset empties the calendar, keeping its chunks and buffers.
+func (c *shardCal) reset() {
+	for w, ch := range c.wins {
+		for ch != nil {
+			next := ch.next
+			c.recycle(ch)
+			ch = next
+		}
+		c.wins[w] = nil
+	}
+	c.wins = c.wins[:0]
+	c.refill = c.refill[:0]
+	clear(c.cur)
+	c.cur = c.cur[:0]
+	c.cursor = 0
+}
+
 // ShardKernel runs a host fleet in SoA form over K deterministic shard
-// calendars merged against a sim.Engine. It is the drop-in mega-grid
-// replacement for Population + per-Host event scheduling on a
-// single-project campaign.
+// calendars merged against a sim.Engine: the host kernel of every
+// single-project campaign, byte-identical to a Population of per-Host
+// event loops on the same run.
 type ShardKernel struct {
 	eng    *sim.Engine
 	server WorkSource
@@ -126,21 +234,14 @@ type ShardKernel struct {
 	// nil or underprediction falls back to inline serial builds.
 	SpawnHint func(week float64) int
 
-	// Shard calendars: buckets[shard][window] holds that shard's events
-	// due in [window·W, (window+1)·W), appended unsorted during the merge
-	// and sorted at the window barrier. Merged windows recycle their
-	// backing arrays through freeB.
-	buckets [][][]planeEvent
-	freeB   [][][]planeEvent
-	refill  [][]int32 // hosts whose decision tuple was consumed this window
-
-	win     int      // current window index
-	winEnd  sim.Time // (win+1)·window
-	armed   bool     // first RunUntil preps window 0 lazily
-	prevWin int
-	curBuf  [][]planeEvent // per-shard current-window sorted slice
-	cursor  []int          // per-shard read index into curBuf
-	overlay []planeEvent   // min-heap of in-window insertions
+	// Shard calendars (see shardCal); the merge reads each shard's armed
+	// window from cals[sh].cur.
+	cals    []shardCal
+	prepFn  func(sh int) // k.prepShard, bound once so barriers do not allocate
+	win     int          // current window index
+	winEnd  sim.Time     // (win+1)·window
+	armed   bool         // first RunUntil preps window 0 lazily
+	overlay []planeEvent // min-heap of in-window insertions
 
 	livePlane int // plane events scheduled and not yet executed
 	peekSrc   int // peekPlane result: shard index, or overlaySrc / noneSrc
@@ -158,6 +259,7 @@ const (
 // draws host seeds from its own stream from then on.
 func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, shards int, window float64) *ShardKernel {
 	k := &ShardKernel{}
+	k.prepFn = k.prepShard
 	k.Reset(engine, server, cfg, r, shards, window)
 	return k
 }
@@ -211,32 +313,15 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.pool = k.pool[:0]
 	k.poolHead = 0
 
-	if shards != k.shards {
-		k.shards = shards
-		k.buckets = make([][][]planeEvent, shards)
-		k.freeB = make([][][]planeEvent, shards)
-		k.refill = make([][]int32, shards)
-		k.curBuf = make([][]planeEvent, shards)
-		k.cursor = make([]int, shards)
-	} else {
-		for sh := 0; sh < shards; sh++ {
-			for w, b := range k.buckets[sh] {
-				if b != nil {
-					clear(b)
-					k.freeB[sh] = append(k.freeB[sh], b[:0])
-					k.buckets[sh][w] = nil
-				}
-			}
-			k.refill[sh] = k.refill[sh][:0]
-			k.curBuf[sh] = nil
-			k.cursor[sh] = 0
-		}
+	k.shards = shards
+	k.cals = slices.Grow(k.cals[:0], shards)[:shards]
+	for sh := range k.cals {
+		k.cals[sh].reset()
 	}
 	clear(k.overlay)
 	k.overlay = k.overlay[:0]
 	k.win, k.winEnd = 0, window
 	k.armed = false
-	k.prevWin = -1
 	k.livePlane = 0
 	k.peekSrc = noneSrc
 	k.SpawnHint = nil
@@ -265,20 +350,8 @@ func (k *ShardKernel) insert(ev planeEvent) {
 		k.overlayPush(ev)
 		return
 	}
-	sh := int(ev.host) % k.shards
-	w := int(ev.at / k.window) // ≥ win+1: at ≥ winEnd and (win+1)·W is representable
-	bs := k.buckets[sh]
-	for len(bs) <= w {
-		bs = append(bs, nil)
-	}
-	if bs[w] == nil {
-		if n := len(k.freeB[sh]); n > 0 {
-			bs[w] = k.freeB[sh][n-1]
-			k.freeB[sh] = k.freeB[sh][:n-1]
-		}
-	}
-	bs[w] = append(bs[w], ev)
-	k.buckets[sh] = bs
+	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
+	k.cals[int(ev.host)%k.shards].push(int(ev.at/k.window), ev)
 }
 
 // overlayPush / overlayPop: a plain binary min-heap on (at, seq).
@@ -329,12 +402,12 @@ func (k *ShardKernel) peekPlane() (at sim.Time, seq uint64, ok bool) {
 	best := noneSrc
 	var bt sim.Time
 	var bs uint64
-	for sh := 0; sh < k.shards; sh++ {
-		c := k.cursor[sh]
-		if c >= len(k.curBuf[sh]) {
+	for sh := range k.cals {
+		c := &k.cals[sh]
+		if c.cursor >= len(c.cur) {
 			continue
 		}
-		ev := &k.curBuf[sh][c]
+		ev := &c.cur[c.cursor]
 		if best == noneSrc || ev.at < bt || (ev.at == bt && ev.seq < bs) {
 			best, bt, bs = sh, ev.at, ev.seq
 		}
@@ -354,9 +427,9 @@ func (k *ShardKernel) popPlane() planeEvent {
 	if k.peekSrc == overlaySrc {
 		return k.overlayPop()
 	}
-	sh := k.peekSrc
-	ev := k.curBuf[sh][k.cursor[sh]]
-	k.cursor[sh]++
+	c := &k.cals[k.peekSrc]
+	ev := c.cur[c.cursor]
+	c.cursor++
 	return ev
 }
 
@@ -395,21 +468,11 @@ func (k *ShardKernel) runParallel(fn func(sh int)) {
 	wg.Wait()
 }
 
-// prepWindow is the window barrier: recycle the merged window, top up the
-// spawn pool if a weekly tick falls inside the new window, then in
-// parallel refill consumed decision tuples and sort the new window's
-// buckets, and finally arm the merge cursors.
+// prepWindow is the window barrier: top up the spawn pool if a weekly
+// tick falls inside the new window, then in parallel refill consumed
+// decision tuples and gather and sort each shard's bucket of the new
+// window into its merge buffer.
 func (k *ShardKernel) prepWindow(w int) {
-	for sh := 0; sh < k.shards; sh++ {
-		if prev := k.prevWin; prev >= 0 && prev < len(k.buckets[sh]) {
-			if b := k.buckets[sh][prev]; b != nil {
-				clear(b)
-				k.freeB[sh] = append(k.freeB[sh], b[:0])
-				k.buckets[sh][prev] = nil
-			}
-		}
-	}
-	k.prevWin = w
 	k.win = w
 	k.winEnd = float64(w+1) * k.window
 
@@ -423,42 +486,33 @@ func (k *ShardKernel) prepWindow(w int) {
 		}
 	}
 
-	work := false
-	for sh := 0; sh < k.shards; sh++ {
-		if len(k.refill[sh]) > 0 || k.bucketLen(sh, w) > 1 {
-			work = true
-			break
+	// Fan out when some shard has work; otherwise the barrier is cheaper
+	// run inline.
+	for sh := range k.cals {
+		if k.cals[sh].busy(w) {
+			k.runParallel(k.prepFn)
+			return
 		}
 	}
-	if work {
-		k.runParallel(func(sh int) {
-			for _, h := range k.refill[sh] {
-				k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
-					k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
-			}
-			if b := k.bucket(sh, w); len(b) > 1 {
-				slices.SortFunc(b, planeEventLess)
-			}
-		})
-	}
-	for sh := 0; sh < k.shards; sh++ {
-		k.refill[sh] = k.refill[sh][:0]
-		k.curBuf[sh] = k.bucket(sh, w)
-		k.cursor[sh] = 0
+	for sh := range k.cals {
+		k.prepShard(sh)
 	}
 }
 
-func (k *ShardKernel) bucket(sh, w int) []planeEvent {
-	if w < len(k.buckets[sh]) {
-		return k.buckets[sh][w]
+// prepShard is one shard's share of the window barrier: refill the
+// consumed decision tuples, then gather and sort the armed window.
+func (k *ShardKernel) prepShard(sh int) {
+	c := &k.cals[sh]
+	for _, h := range c.refill {
+		k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
+			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
 	}
-	return nil
+	c.refill = c.refill[:0]
+	c.gather(k.win)
 }
-
-func (k *ShardKernel) bucketLen(sh, w int) int { return len(k.bucket(sh, w)) }
 
 // topUpPool extends the spawn-slot pool by n slots: seeds drawn serially
-// from the population stream (preserving the legacy draw order — nothing
+// from the population stream (preserving the per-Host draw order — nothing
 // else reads it), slot transcripts built in parallel.
 func (k *ShardKernel) topUpPool(n int) {
 	if k.poolHead > 0 {
@@ -488,46 +542,8 @@ func (k *ShardKernel) topUpPool(n int) {
 // Callable repeatedly with growing deadlines (the campaign runs the phase
 // horizon, then the straggler drain).
 func (k *ShardKernel) RunUntil(deadline sim.Time) {
-	e := k.eng
-	if !k.armed {
-		k.prepWindow(k.win)
-		k.armed = true
-	}
-	for {
-		pt, pseq, pok := k.peekPlane()
-		et, eseq, eok := e.Peek()
-		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
-			if pt > deadline {
-				break
-			}
-			ev := k.popPlane()
-			k.exec(ev)
-			continue
-		}
-		if eok && et < k.winEnd {
-			if et > deadline {
-				break
-			}
-			e.Step()
-			continue
-		}
-		// Current window exhausted on both calendars (any engine head
-		// lies in a later window). Advance the window barrier — jumping
-		// straight to the engine head's window when no plane events
-		// remain anywhere — or stop at the deadline.
-		if k.livePlane == 0 {
-			if !eok || et > deadline {
-				break
-			}
-			k.prepWindow(int(et / k.window))
-			continue
-		}
-		if k.winEnd > deadline {
-			break
-		}
-		k.prepWindow(k.win + 1)
-	}
-	e.AdvanceTo(deadline)
+	k.run(deadline, true)
+	k.eng.AdvanceTo(deadline)
 }
 
 // RunBefore merges and executes events with timestamps strictly before
@@ -538,41 +554,48 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 // decision refills, spawn-pool top-up) runs in each forked suffix, under
 // the forked cell's config, exactly as a straight run of that cell would
 // have run it.
-func (k *ShardKernel) RunBefore(deadline sim.Time) {
+func (k *ShardKernel) RunBefore(deadline sim.Time) { k.run(deadline, false) }
+
+// run is the merge loop behind RunUntil (inclusive: events at the
+// deadline run) and RunBefore (exclusive).
+func (k *ShardKernel) run(deadline sim.Time, inclusive bool) {
 	e := k.eng
 	if !k.armed {
 		k.prepWindow(k.win)
 		k.armed = true
 	}
+	// past reports whether time t lies beyond what this call executes.
+	past := func(t sim.Time) bool { return t > deadline || (!inclusive && t == deadline) }
 	for {
 		pt, pseq, pok := k.peekPlane()
 		et, eseq, eok := e.Peek()
 		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
-			if pt >= deadline {
+			if past(pt) {
 				break
 			}
-			ev := k.popPlane()
-			k.exec(ev)
+			k.exec(k.popPlane())
 			continue
 		}
 		if eok && et < k.winEnd {
-			if et >= deadline {
+			if past(et) {
 				break
 			}
 			e.Step()
 			continue
 		}
-		// Current window exhausted on both calendars; advance the barrier
-		// only while the next window can still hold events before the
-		// deadline (its start is the current winEnd).
+		// Current window exhausted on both calendars (any engine head
+		// lies in a later window). Advance the window barrier — jumping
+		// straight to the engine head's window when no plane events
+		// remain anywhere — while the next window can still hold events
+		// this call executes (its start is the current winEnd).
 		if k.livePlane == 0 {
-			if !eok || et >= deadline {
+			if !eok || past(et) {
 				break
 			}
 			k.prepWindow(int(et / k.window))
 			continue
 		}
-		if k.winEnd >= deadline {
+		if past(k.winEnd) {
 			break
 		}
 		k.prepWindow(k.win + 1)

@@ -319,7 +319,8 @@ func (k *ShardKernel) fetch(h int32) {
 	} else {
 		// First consume this window: queue the host for the parallel
 		// refill at the next window barrier.
-		k.refill[int(h)%k.shards] = append(k.refill[int(h)%k.shards], h)
+		c := &k.cals[int(h)%k.shards]
+		c.refill = append(c.refill, h)
 	}
 	k.dec[h].flags = 0
 

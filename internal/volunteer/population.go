@@ -60,17 +60,6 @@ func (p *Population) Reset(cfg HostConfig, r *rng.Source) {
 	p.active, p.nextID, p.firstActive = 0, 0, 0
 }
 
-// Rebind swaps the work source every subsequently spawned host binds to.
-// A pooled campaign calls it right after Reset, before any spawn, when the
-// source wrapping changes between runs (the fault plane wraps the server
-// on fault runs and is absent on fault-free ones). Multiplexed populations
-// ignore it — their hosts bind their own ports.
-func (p *Population) Rebind(server WorkSource) {
-	if p.mux == nil {
-		p.server = server
-	}
-}
-
 // spawn creates (or recycles) one host seeded from the population stream.
 // The seed derivation matches what NewHost(..., p.r.Split()) produced
 // before pooling existed, so populations are bit-for-bit reproducible. On
@@ -116,6 +105,13 @@ func (p *Population) TotalJoined() int { return p.nextID }
 
 // Hosts returns all hosts ever created (stopped ones included).
 func (p *Population) Hosts() []*Host { return p.hosts }
+
+// HostAccounting returns host i's credit inputs (the §8 points accounting):
+// hardware factor, join time and reported CPU seconds accumulated.
+func (p *Population) HostAccounting(i int) (hardware float64, joinedAt sim.Time, cpuSpent float64) {
+	h := p.hosts[i]
+	return h.Hardware, h.JoinedAt, h.CPUSpent
+}
 
 // SetTarget adjusts the active host count toward n: spawning fresh hosts
 // (new devices join the grid continuously) or stopping surplus ones (devices

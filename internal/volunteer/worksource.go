@@ -4,7 +4,7 @@ import "repro/internal/wcg"
 
 // WorkSource is what a volunteer host needs from the project side of the
 // grid: a place to fetch work from, report results to, and ask deadlines
-// of. A single-project population binds a *wcg.Server here directly — the
+// of. A single-project fleet binds a *wcg.Server here directly — the
 // host's fetch-compute-report loop then behaves exactly as it did before
 // the interface existed (same calls, same order, no extra random draws, no
 // allocation), which is what keeps single-project runs byte-identical to
@@ -40,7 +40,7 @@ var _ WorkSource = (*wcg.Server)(nil)
 // with seeded jitter while the server is down, and announced-maintenance
 // deferral with reconnect smearing.
 //
-// Both kernels resolve the advisor once, by type assertion at bind time; a
+// Host and ShardKernel resolve the advisor once, by type assertion at bind time; a
 // plain *wcg.Server (which does not implement it) costs one nil check per
 // idle retry and keeps the flat delay — byte-identical to the pre-advisor
 // code.
