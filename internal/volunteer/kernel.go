@@ -15,16 +15,18 @@
 //
 // At each window barrier the K shard workers run in parallel, touching
 // only their own hosts (disjoint array ranges) and their own buckets:
-// they gather the window's bucket and sort it by (time, seq), and refill
-// the consumed per-host decision transcripts (plus, before a weekly tick,
-// the spawn slot pool). Between barriers a single goroutine merges the K
-// sorted bucket heads, the overlay heap and the engine's own heap in
+// they gather the window's bucket into (time, seq) order, and refill the
+// consumed per-host decision transcripts (plus, before a weekly tick, the
+// spawn slot pool). Between barriers a single goroutine merges the K
+// ordered bucket heads, the overlay heap and the engine's own heap in
 // global ascending (time, seq) order and executes the model serially.
 //
 // Each window bucket is a list of fixed-size chunks from a per-shard free
-// list, and the barrier gathers the window into a per-shard merge buffer
-// before sorting it, so the calendar retains about its live events plus
-// one chunk per live window, however busy an earlier window was.
+// list, and the barrier scatters the window into a per-shard merge buffer
+// by a linear-time distribution sort (see shardCal.gather), so the
+// calendar retains about its live events plus one chunk per live window,
+// however busy an earlier window was. Events are filed by windowOf, which
+// uses the exact window bounds the barrier arms.
 //
 // # Byte-identity with the per-Host reference
 //
@@ -95,14 +97,15 @@ type evChunk struct {
 
 // shardCal is one shard's calendar: wins[w] holds the shard's events due
 // in [w·W, (w+1)·W) as a chunk list (head = the chunk being filled),
-// appended unsorted during the merge. The window barrier gathers the
-// armed window's chunks into cur, sorts it there and returns the chunks
-// to the shard's free list.
+// appended unsorted during the merge. The window barrier scatters the
+// armed window's chunks into cur in (at, seq) order and returns the
+// chunks to the shard's free list.
 type shardCal struct {
 	wins   []*evChunk
 	free   *evChunk
 	refill []int32      // hosts whose decision tuple was consumed this window
 	cur    []planeEvent // the armed window's events, sorted by (at, seq)
+	ends   []int32      // gather's sub-bucket offsets; cap(cur) ≥ len(ends)
 	cursor int          // read index into cur
 }
 
@@ -127,23 +130,104 @@ func (c *shardCal) push(w int, ev planeEvent) {
 	head.n++
 }
 
-// gather moves window w's events into cur, sorted, and recycles their
-// chunks.
-func (c *shardCal) gather(w int) {
+// insertionMax is the largest sub-bucket gather orders by insertion sort;
+// larger ones (events on one tick) go to pdqsort.
+const insertionMax = 16
+
+// gather moves window w's events, all due in [lo, hi), into cur in
+// (at, seq) order and recycles their chunks. It is a distribution sort:
+// every event is counted into one of about n sub-buckets by a monotone
+// function of its time, scattered to its sub-bucket's offset in cur, and
+// each sub-bucket is then sorted on its own. Equal times share a
+// sub-bucket and sub-buckets come out in time order, so the result is the
+// (at, seq) order whatever the chunk order — seqs are unique — and the
+// cost is linear unless many events share a time.
+func (c *shardCal) gather(w int, lo, hi sim.Time) {
 	c.cur = c.cur[:0]
 	c.cursor = 0
-	if w >= len(c.wins) {
+	if w >= len(c.wins) || c.wins[w] == nil {
 		return
 	}
-	for ch := c.wins[w]; ch != nil; {
-		c.cur = append(c.cur, ch.ev[:ch.n]...)
+	head := c.wins[w]
+	c.wins[w] = nil
+	n := 0
+	for ch := head; ch != nil; ch = ch.next {
+		n += ch.n
+	}
+	if n > len(c.ends) {
+		// Grow the merge buffer and its sub-bucket offsets together,
+		// doubling from eight chunks' worth (20 KB): smaller buffers cost
+		// more in regrowth than they save. (An adopted calendar's cur may
+		// be longer than ends; it is replaced all the same.)
+		size := max(n, 2*len(c.ends), 8*chunkSize)
+		c.cur = make([]planeEvent, 0, size)
+		c.ends = make([]int32, size)
+	}
+	// Count, take exclusive prefix sums, scatter: afterwards ends[b] is
+	// the end of sub-bucket b in cur.
+	c.cur = c.cur[:n]
+	ends := c.ends[:n]
+	clear(ends)
+	scale := float64(n) / (hi - lo)
+	sub := func(at sim.Time) int {
+		b := int((at - lo) * scale)
+		if uint(b) >= uint(n) {
+			if b < 0 {
+				return 0
+			}
+			return n - 1
+		}
+		return b
+	}
+	// Counting also reverses the chunk list, so the scatter visits events
+	// in insertion order. Seqs ascend in insertion order, so a sub-bucket
+	// of events on one time (a spawn burst) arrives already ordered.
+	var prev *evChunk
+	for ch := head; ch != nil; {
+		for i := range ch.ev[:ch.n] {
+			ends[sub(ch.ev[i].at)]++
+		}
+		next := ch.next
+		ch.next = prev
+		prev, ch = ch, next
+	}
+	head = prev
+	var off int32
+	for b, cnt := range ends {
+		ends[b] = off
+		off += cnt
+	}
+	for ch := head; ch != nil; {
+		for i := range ch.ev[:ch.n] {
+			b := sub(ch.ev[i].at)
+			c.cur[ends[b]] = ch.ev[i]
+			ends[b]++
+		}
 		next := ch.next
 		c.recycle(ch)
 		ch = next
 	}
-	c.wins[w] = nil
-	if len(c.cur) > 1 {
-		slices.SortFunc(c.cur, planeEventLess)
+	start := int32(0)
+	for _, end := range ends {
+		switch run := c.cur[start:end]; {
+		case len(run) > insertionMax:
+			slices.SortFunc(run, planeEventLess)
+		case len(run) > 1:
+			insertionSort(run)
+		}
+		start = end
+	}
+}
+
+// insertionSort orders a short run of events by (at, seq).
+func insertionSort(evs []planeEvent) {
+	for i := 1; i < len(evs); i++ {
+		ev := evs[i]
+		j := i
+		for ; j > 0 && (evs[j-1].at > ev.at || evs[j-1].at == ev.at && evs[j-1].seq > ev.seq); j-- {
+			evs[j] = evs[j-1]
+		}
+		evs[j] = ev
 	}
 }
 
@@ -156,7 +240,7 @@ func (c *shardCal) recycle(ch *evChunk) {
 }
 
 // busy reports whether the shard's share of window w's barrier is worth a
-// goroutine: decisions to refill, or more than one event to sort.
+// goroutine: decisions to refill, or more than one event to order.
 func (c *shardCal) busy(w int) bool {
 	if len(c.refill) > 0 {
 		return true
@@ -341,8 +425,7 @@ func (k *ShardKernel) scheduleLate(h int32, at sim.Time, a *wcg.Assignment, repo
 }
 
 // insert routes one event to the overlay heap (due inside the current
-// window — the exact comparison, immune to division rounding at the
-// boundary) or to its shard's future-window bucket.
+// window) or to its shard's future-window bucket.
 func (k *ShardKernel) insert(ev planeEvent) {
 	k.eng.ExternalSchedule()
 	k.livePlane++
@@ -350,8 +433,22 @@ func (k *ShardKernel) insert(ev planeEvent) {
 		k.overlayPush(ev)
 		return
 	}
-	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
-	k.cals[int(ev.host)%k.shards].push(int(ev.at/k.window), ev)
+	k.cals[int(ev.host)%k.shards].push(k.windowOf(ev.at), ev)
+}
+
+// windowOf returns the window w with float64(w)·W ≤ at < float64(w+1)·W,
+// the bounds prepWindow arms. The quotient at/W alone can round across a
+// boundary either way, which would file an event one window late or into
+// a window already gathered.
+func (k *ShardKernel) windowOf(at sim.Time) int {
+	w := int(at / k.window)
+	for w > 0 && at < float64(w)*k.window {
+		w--
+	}
+	for at >= float64(w+1)*k.window {
+		w++
+	}
+	return w
 }
 
 // overlayPush / overlayPop: a plain binary min-heap on (at, seq).
@@ -470,8 +567,8 @@ func (k *ShardKernel) runParallel(fn func(sh int)) {
 
 // prepWindow is the window barrier: top up the spawn pool if a weekly
 // tick falls inside the new window, then in parallel refill consumed
-// decision tuples and gather and sort each shard's bucket of the new
-// window into its merge buffer.
+// decision tuples and gather each shard's bucket of the new window into
+// its merge buffer in (time, seq) order.
 func (k *ShardKernel) prepWindow(w int) {
 	k.win = w
 	k.winEnd = float64(w+1) * k.window
@@ -500,7 +597,7 @@ func (k *ShardKernel) prepWindow(w int) {
 }
 
 // prepShard is one shard's share of the window barrier: refill the
-// consumed decision tuples, then gather and sort the armed window.
+// consumed decision tuples, then gather the armed window.
 func (k *ShardKernel) prepShard(sh int) {
 	c := &k.cals[sh]
 	for _, h := range c.refill {
@@ -508,7 +605,7 @@ func (k *ShardKernel) prepShard(sh int) {
 			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
 	}
 	c.refill = c.refill[:0]
-	c.gather(k.win)
+	c.gather(k.win, float64(k.win)*k.window, k.winEnd)
 }
 
 // topUpPool extends the spawn-slot pool by n slots: seeds drawn serially
@@ -550,7 +647,7 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 // deadline, exactly as RunUntil would order them, and stops without
 // advancing the clock to the deadline or prepping the window that
 // contains it. The snapshot/fork path uses it to end a shared prefix at
-// a divergence time T: the window barrier covering T (bucket sorting,
+// a divergence time T: the window barrier covering T (bucket gathering,
 // decision refills, spawn-pool top-up) runs in each forked suffix, under
 // the forked cell's config, exactly as a straight run of that cell would
 // have run it.
@@ -592,7 +689,7 @@ func (k *ShardKernel) run(deadline sim.Time, inclusive bool) {
 			if !eok || past(et) {
 				break
 			}
-			k.prepWindow(int(et / k.window))
+			k.prepWindow(k.windowOf(et))
 			continue
 		}
 		if past(k.winEnd) {

@@ -27,12 +27,12 @@ type portablePlaneEvent struct {
 	kind     uint8
 }
 
-// portableShard is one shard's calendar: the future-window buckets
-// (indexed by window, nil where empty; event order within a bucket is
-// irrelevant, the barrier sorts it), the armed window's unconsumed events
-// in merge order, and the refill queue.
+// portableShard is one shard's calendar: the future windows' events (in
+// no particular order: the adopter files each by its time and the barrier
+// orders every window), the armed window's unconsumed events in merge
+// order, and the refill queue.
 type portableShard struct {
-	wins   [][]portablePlaneEvent
+	future []portablePlaneEvent
 	cur    []portablePlaneEvent
 	refill []int32
 }
@@ -91,10 +91,7 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.overlay)
 	for sh := range p.cals {
 		c := &p.cals[sh]
-		n += snapshot.Size(c.refill) + snapshot.Size(c.cur)
-		for _, b := range c.wins {
-			n += snapshot.Size(b)
-		}
+		n += snapshot.Size(c.refill) + snapshot.Size(c.cur) + snapshot.Size(c.future)
 	}
 	return n
 }
@@ -177,22 +174,22 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		c, pc := &k.cals[sh], &p.cals[sh]
 		pc.refill = snapshot.Clone(c.refill)
 		pc.cur = exportEvents(c.cur[c.cursor:])
-		pc.wins = make([][]portablePlaneEvent, len(c.wins))
-		for w, head := range c.wins {
-			n := 0
+		n := 0
+		for _, head := range c.wins {
 			for ch := head; ch != nil; ch = ch.next {
 				n += ch.n
 			}
-			if n == 0 {
-				continue
-			}
-			evs := make([]portablePlaneEvent, 0, n)
+		}
+		if n == 0 {
+			continue
+		}
+		pc.future = make([]portablePlaneEvent, 0, n)
+		for _, head := range c.wins {
 			for ch := head; ch != nil; ch = ch.next {
 				for _, ev := range ch.ev[:ch.n] {
-					evs = append(evs, exportEvent(ev))
+					pc.future = append(pc.future, exportEvent(ev))
 				}
 			}
-			pc.wins[w] = evs
 		}
 	}
 	return p
@@ -239,10 +236,8 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	for sh := range k.cals {
 		c, pc := &k.cals[sh], &p.cals[sh]
 		c.reset()
-		for w, evs := range pc.wins {
-			for _, pe := range evs {
-				c.push(w, adoptEvent(pe, asAt))
-			}
+		for _, pe := range pc.future {
+			c.push(k.windowOf(pe.at), adoptEvent(pe, asAt))
 		}
 		for _, pe := range pc.cur {
 			c.cur = append(c.cur, adoptEvent(pe, asAt))
