@@ -107,9 +107,20 @@ func (c *Config) Enabled() bool {
 }
 
 // Normalized returns a copy with defaults filled in, panicking on
-// out-of-range values (mirroring the project layer's checkConfig
-// convention: a bad config is a programming error, not a runtime state).
+// out-of-range or non-finite values (mirroring the project layer's
+// checkConfig convention: a bad config is a programming error, not a
+// runtime state).
 func (c Config) Normalized() Config {
+	for _, v := range [...]float64{
+		c.MaintenanceEvery, c.MaintenanceOffset, c.MaintenanceDuration,
+		c.UnplannedPerWeek, c.UnplannedMeanSeconds, c.UploadLossProb,
+		c.UploadRetryDelay, c.ChurnPerWeek, c.BackoffBase, c.BackoffCap,
+		c.ReconnectSmear,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("faults: non-finite value in %+v", c))
+		}
+	}
 	switch {
 	case c.MaintenanceEvery < 0 || c.MaintenanceOffset < 0 || c.MaintenanceDuration < 0:
 		panic(fmt.Sprintf("faults: negative maintenance schedule %+v", c))
@@ -209,15 +220,20 @@ func frac(seed, a, b uint64) float64 {
 }
 
 // Windows materializes the outage schedule for one run: the planned
-// maintenance series plus a seeded walk of unplanned outages, sorted,
-// coalesced (overlapping or touching windows merge) and clipped to the
-// horizon. Pure function of (cfg, seed, horizon) — checkConfig and the
-// plane both call it and must agree.
+// maintenance series plus a seeded walk of unplanned outages, sorted and
+// coalesced (overlapping or touching windows merge). Every window starts
+// inside [0, horizon); the last may run past it (BuildReport clips the
+// downtime it counts). A window too short to register at its start time
+// is dropped, so the schedule is always valid server config. Pure
+// function of (cfg, seed, horizon) — checkConfig and the plane both call
+// it and must agree.
 func Windows(c *Config, seed uint64, horizon float64) []Window {
 	var wins []Window
 	if c.MaintenanceEvery > 0 {
 		for t := c.MaintenanceOffset; t < horizon; t += c.MaintenanceEvery {
-			wins = append(wins, Window{Start: t, End: t + c.MaintenanceDuration, Planned: true})
+			if end := t + c.MaintenanceDuration; end > t {
+				wins = append(wins, Window{Start: t, End: end, Planned: true})
+			}
 		}
 	}
 	if c.UnplannedPerWeek > 0 {
@@ -228,7 +244,9 @@ func Windows(c *Config, seed uint64, horizon float64) []Window {
 			if d < sim.Minute {
 				d = sim.Minute // sub-minute blips would vanish under event granularity
 			}
-			wins = append(wins, Window{Start: t, End: t + d})
+			if end := t + d; end > t {
+				wins = append(wins, Window{Start: t, End: end})
+			}
 		}
 	}
 	if len(wins) == 0 {

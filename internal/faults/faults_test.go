@@ -63,6 +63,9 @@ func TestNormalizedPanics(t *testing.T) {
 		{ChurnPerWeek: 1.5},
 		{ChurnPerWeek: 0.1, BackoffBase: -1},
 		{MaintenanceEvery: sim.Hour, MaintenanceDuration: 2 * sim.Hour},
+		{MaintenanceEvery: sim.Week, MaintenanceDuration: math.NaN()},
+		{UnplannedPerWeek: math.Inf(1)},
+		{UploadLossProb: math.NaN()},
 	}
 	for i, c := range bad {
 		func() {

@@ -25,7 +25,9 @@ func materialize(t *testing.T, base Config) (*Runner, *PortableSnapshot) {
 // snapshot materialized on one runner and adopted into a different one
 // must fork reports byte-identical to the publisher's own forks and to a
 // straight run — on the default kernel (K=1) and at K=4, into a fresh and
-// a dirty (pooled) adopter, and repeatedly into the same adopter.
+// a dirty (pooled) adopter, and repeatedly into the same adopter. The
+// snapshot must hold pending late returns, so their assignments and
+// reported seconds cross the boundary too.
 func TestAdoptEqualsStraightRun(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		base := determinismConfig(t, 777)
@@ -34,6 +36,9 @@ func TestAdoptEqualsStraightRun(t *testing.T) {
 		straightCell := reportHash(t, New(cell).Run())
 
 		pub, ps := materialize(t, base)
+		if n := ps.kern.PendingLateReturns(); n == 0 {
+			t.Fatalf("shards=%d: the snapshot holds no pending late return — the fixture no longer crosses the late slab", shards)
+		}
 
 		// Fresh adopter: base fork reproduces the golden bytes, cell fork
 		// the straight run, and a second fork off the adopted context

@@ -33,9 +33,10 @@ func forkHash(t *testing.T, r *Runner, base, cell Config) string {
 // TestForkEqualsStraightRun is the fork-identity pin: a run forked at the
 // divergence time must hash byte-identically to a straight run of the
 // forked config — on the default kernel (K=1) and at K=4, from a fresh and
-// from a dirty (pooled) runner, and repeatedly from one snapshot. Forking
-// the base config itself must reproduce the goldenSeed777 bytes, so the
-// whole snapshot/adopt cycle is anchored to the pre-fork golden hash.
+// from a dirty (pooled) runner, and repeatedly from one snapshot, which
+// must hold pending late returns. Forking the base config itself must
+// reproduce the goldenSeed777 bytes, so the whole snapshot/adopt cycle is
+// anchored to the pre-fork golden hash.
 func TestForkEqualsStraightRun(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		base := determinismConfig(t, 777)
@@ -51,6 +52,9 @@ func TestForkEqualsStraightRun(t *testing.T) {
 		r.Begin(base)
 		r.RunTo(forkDivergence)
 		r.Snapshot()
+		if n := r.cur.kern.PendingLateReturns(); n == 0 {
+			t.Fatalf("shards=%d: the snapshot holds no pending late return — the fixture no longer crosses the late slab", shards)
+		}
 		if got := reportHash(t, r.Fork(base)); got != goldenSeed777 {
 			t.Errorf("shards=%d: fork(base) hash = %s, want golden %s", shards, got, goldenSeed777)
 		}

@@ -98,7 +98,7 @@ func fuzzEvents(data []byte, lo, hi sim.Time) []planeEvent {
 		default:
 			at = inside(lo + (hi-lo)/3)
 		}
-		evs = append(evs, planeEvent{at: at, seq: uint64(tag)<<32 | uint64(len(evs)), host: int32(len(evs)), kind: b & 3})
+		evs = append(evs, planeEvent{at: at, seq: uint64(tag)<<32 | uint64(len(evs)), host: int32(len(evs)), aux: int32(tag)<<kindBits | int32(b&3)})
 	}
 	return evs
 }

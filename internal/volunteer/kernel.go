@@ -28,6 +28,14 @@
 // however busy an earlier window was. Events are filed by windowOf, which
 // uses the exact window bounds the barrier arms.
 //
+// Calendar events are pointer-free 24-byte values (time, seq, host and
+// an aux word holding the kind), so the barrier moves plain values and
+// recycled chunks need no clearing. A late return's payload — its
+// assignment and reported seconds — waits in a kernel-wide slab (lates)
+// whose slot index rides in the aux word; only the serial merge
+// allocates and frees slots. The in-flight task of each host is one
+// record (task), read together when the task completes.
+//
 // # Byte-identity with the per-Host reference
 //
 // The per-Host model (host.go) schedules every continuation on the engine
@@ -60,14 +68,33 @@ const (
 	evLate               // abandoned task returns after its deadline
 )
 
-// planeEvent is one host continuation in a shard calendar.
+// kindBits is the width of the kind field in the low bits of
+// planeEvent.aux; an evLate event keeps its late slot above it.
+const kindBits = 2
+
+// planeEvent is one host continuation in a shard calendar: 24 bytes and
+// no pointer, so the barrier moves plain values. aux holds the kind in
+// its low kindBits and, for evLate, the index of the late return's
+// payload in the kernel's late slab above them.
 type planeEvent struct {
-	at       sim.Time
-	seq      uint64
-	a        *wcg.Assignment // evLate only
-	reported float64         // evLate only
-	host     int32
-	kind     uint8
+	at   sim.Time
+	seq  uint64
+	host int32
+	aux  int32
+}
+
+// kind returns the event's kind.
+func (ev planeEvent) kind() uint8 { return uint8(ev.aux & (1<<kindBits - 1)) }
+
+// lateSlot returns an evLate event's index into the late slab.
+func (ev planeEvent) lateSlot() int32 { return ev.aux >> kindBits }
+
+// lateRec is the payload of one pending late return, kept off the
+// calendar in ShardKernel.lates. A free slot links to the next free one.
+type lateRec struct {
+	a        *wcg.Assignment
+	reported float64
+	next     int32 // free-list link; meaningful only while the slot is free
 }
 
 func planeEventLess(a, b planeEvent) int {
@@ -231,9 +258,9 @@ func insertionSort(evs []planeEvent) {
 	}
 }
 
-// recycle clears ch and pushes it on the free list.
+// recycle pushes ch on the free list. Events hold no pointers, so the
+// chunk's stale events need no clearing.
 func (c *shardCal) recycle(ch *evChunk) {
-	clear(ch.ev[:ch.n])
 	ch.n = 0
 	ch.next = c.free
 	c.free = ch
@@ -263,7 +290,6 @@ func (c *shardCal) reset() {
 	}
 	c.wins = c.wins[:0]
 	c.refill = c.refill[:0]
-	clear(c.cur)
 	c.cur = c.cur[:0]
 	c.cursor = 0
 }
@@ -297,9 +323,7 @@ type ShardKernel struct {
 	hardware    []float64
 	done        []int32
 	cpuSpent    []float64
-	cur         []*wcg.Assignment
-	curOutcome  []wcg.Outcome
-	curReported []float64
+	task        []inflight
 	cacheLen    []int32
 	cache       []*wcg.Assignment // flat slab, buffer slots per host
 
@@ -326,6 +350,12 @@ type ShardKernel struct {
 	winEnd  sim.Time     // (win+1)·window
 	armed   bool         // first RunUntil preps window 0 lazily
 	overlay []planeEvent // min-heap of in-window insertions
+
+	// Late-return payloads, one slot per pending evLate event, with an
+	// intrusive free list headed by lateFree (-1 = none). Touched only by
+	// the serial merge.
+	lates    []lateRec
+	lateFree int32
 
 	livePlane int // plane events scheduled and not yet executed
 	peekSrc   int // peekPlane result: shard index, or overlaySrc / noneSrc
@@ -386,10 +416,8 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.hardware = k.hardware[:0]
 	k.done = k.done[:0]
 	k.cpuSpent = k.cpuSpent[:0]
-	clear(k.cur)
-	k.cur = k.cur[:0]
-	k.curOutcome = k.curOutcome[:0]
-	k.curReported = k.curReported[:0]
+	clear(k.task)
+	k.task = k.task[:0]
 	k.cacheLen = k.cacheLen[:0]
 	clear(k.cache)
 	k.cache = k.cache[:0]
@@ -402,8 +430,8 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	for sh := range k.cals {
 		k.cals[sh].reset()
 	}
-	clear(k.overlay)
 	k.overlay = k.overlay[:0]
+	k.clearLates()
 	k.win, k.winEnd = 0, window
 	k.armed = false
 	k.livePlane = 0
@@ -415,13 +443,43 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 // tie-break seq and the Pending accounting from the engine exactly as an
 // engine-side ScheduleAfter would.
 func (k *ShardKernel) scheduleHostEvent(h int32, kind uint8, at sim.Time) {
-	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), host: h, kind: kind})
+	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), host: h, aux: int32(kind)})
 }
 
-// scheduleLate enqueues an abandoned-late-return continuation carrying its
-// assignment and reported seconds.
+// scheduleLate enqueues an abandoned-late-return continuation; its
+// assignment and reported seconds wait in a late slot.
 func (k *ShardKernel) scheduleLate(h int32, at sim.Time, a *wcg.Assignment, reported float64) {
-	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), a: a, reported: reported, host: h, kind: evLate})
+	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), host: h, aux: k.allocLate(a, reported)})
+}
+
+// allocLate stores a late return's payload in a free slot of the late
+// slab, growing it when none is free, and returns the evLate aux word.
+func (k *ShardKernel) allocLate(a *wcg.Assignment, reported float64) int32 {
+	i := k.lateFree
+	if i < 0 {
+		i = int32(len(k.lates))
+		k.lates = append(k.lates, lateRec{a: a, reported: reported})
+	} else {
+		k.lateFree = k.lates[i].next
+		k.lates[i] = lateRec{a: a, reported: reported}
+	}
+	return i<<kindBits | int32(evLate)
+}
+
+// takeLate returns the payload in slot i and frees the slot.
+func (k *ShardKernel) takeLate(i int32) (*wcg.Assignment, float64) {
+	r := &k.lates[i]
+	a, reported := r.a, r.reported
+	*r = lateRec{next: k.lateFree}
+	k.lateFree = i
+	return a, reported
+}
+
+// clearLates empties the late slab, dropping every assignment it held.
+func (k *ShardKernel) clearLates() {
+	clear(k.lates)
+	k.lates = k.lates[:0]
+	k.lateFree = -1
 }
 
 // insert routes one event to the overlay heap (due inside the current
@@ -471,7 +529,6 @@ func (k *ShardKernel) overlayPop() planeEvent {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = planeEvent{}
 	q = q[:n]
 	i := 0
 	for {
@@ -535,13 +592,14 @@ func (k *ShardKernel) popPlane() planeEvent {
 func (k *ShardKernel) exec(ev planeEvent) {
 	k.eng.ExternalExecute(ev.at)
 	k.livePlane--
-	switch ev.kind {
+	switch ev.kind() {
 	case evFetch:
 		k.fetch(ev.host)
 	case evDone:
 		k.taskDone(ev.host)
 	default:
-		k.lateReturn(ev.host, ev.a, ev.reported)
+		a, reported := k.takeLate(ev.lateSlot())
+		k.lateReturn(ev.host, a, reported)
 	}
 }
 
@@ -600,12 +658,18 @@ func (k *ShardKernel) prepWindow(w int) {
 // consumed decision tuples, then gather the armed window.
 func (k *ShardKernel) prepShard(sh int) {
 	c := &k.cals[sh]
+	k.refillDecisions(c)
+	c.gather(k.win, float64(k.win)*k.window, k.winEnd)
+}
+
+// refillDecisions draws the next decision tuple of every host on the
+// shard's refill list and empties the list.
+func (k *ShardKernel) refillDecisions(c *shardCal) {
 	for _, h := range c.refill {
 		k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
 			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
 	}
 	c.refill = c.refill[:0]
-	c.gather(k.win, float64(k.win)*k.window, k.winEnd)
 }
 
 // topUpPool extends the spawn-slot pool by n slots: seeds drawn serially

@@ -107,3 +107,25 @@ func TestShardCalendarBoundedByLiveEvents(t *testing.T) {
 			slots, peak, chunkSize, peakWins, limit)
 	}
 }
+
+// BenchmarkPrepRefill measures the decision-refill half of the window
+// barrier alone: one shard redrawing the decision tuples of 1,500 hosts
+// (the campaign's full-power load at scale 1/4), each with the default
+// cohort's abandon, late-return and error draws.
+func BenchmarkPrepRefill(b *testing.B) {
+	const n = 1500
+	eng := sim.NewEngine()
+	k := NewShardKernel(eng, wcg.NewServer(eng, wcg.DefaultConfig()), DefaultHostConfig(), rng.New(3), 1, 1.85*sim.Hour)
+	k.SetTarget(n)
+	hosts := make([]int32, n)
+	for i := range hosts {
+		hosts[i] = int32(i)
+	}
+	c := &k.cals[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.refill = append(c.refill[:0], hosts...)
+		k.refillDecisions(c)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/host")
+}

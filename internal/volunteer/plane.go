@@ -9,7 +9,8 @@
 //
 //   - hot, touched every task: flags (packed bits), speedDown, src (the
 //     host's rng stream, 32 bytes by value), dec (the precomputed next
-//     per-task decision), cur/curOutcome/curReported (the in-flight task),
+//     per-task decision), task (the in-flight task: assignment, reported
+//     seconds and outcome in one record, read together when it completes),
 //     cacheLen + a flat cache slab (WorkBuffer assignments per host);
 //   - warm, touched by cohort behavior: errorProb, abandonProb, phase,
 //     onlineSpan;
@@ -67,6 +68,14 @@ const (
 type decision struct {
 	lateFrac float64 // late-return delay fraction (dLate only)
 	flags    uint8
+}
+
+// inflight is a host's in-flight task: the assignment it is computing,
+// the CPU seconds it will report and the outcome it will return.
+type inflight struct {
+	a        *wcg.Assignment
+	reported float64
+	outcome  wcg.Outcome
 }
 
 // spawnSlot is one precomputed host initialization: the draws NewHost would
@@ -182,9 +191,7 @@ func (k *ShardKernel) spawn() int32 {
 	k.hardware = append(k.hardware, hw)
 	k.done = append(k.done, 0)
 	k.cpuSpent = append(k.cpuSpent, 0)
-	k.cur = append(k.cur, nil)
-	k.curOutcome = append(k.curOutcome, 0)
-	k.curReported = append(k.curReported, 0)
+	k.task = append(k.task, inflight{})
 	k.cacheLen = append(k.cacheLen, 0)
 	for j := 0; j < k.buffer; j++ {
 		k.cache = append(k.cache, nil)
@@ -334,11 +341,10 @@ func (k *ShardKernel) fetch(h int32) {
 		return
 	}
 
-	k.cur[h] = a
-	k.curReported[h] = reported
-	k.curOutcome[h] = wcg.OutcomeValid
+	t := &k.task[h]
+	t.a, t.reported, t.outcome = a, reported, wcg.OutcomeValid
 	if d.flags&dErr != 0 {
-		k.curOutcome[h] = wcg.OutcomeInvalid
+		t.outcome = wcg.OutcomeInvalid
 		if d.flags&dTurns != 0 {
 			k.flags[h] |= hfTurned
 			if k.cfg.OnSaboteurTurn != nil {
@@ -356,12 +362,12 @@ func (k *ShardKernel) fetch(h int32) {
 // taskDone is the SoA mirror of Host.taskDone: report the finished task and
 // fetch the next one.
 func (k *ShardKernel) taskDone(h int32) {
-	a, outcome, reported := k.cur[h], k.curOutcome[h], k.curReported[h]
-	k.cur[h] = nil
+	t := k.task[h]
+	k.task[h].a = nil
 	k.flags[h] &^= hfBusy
 	k.done[h]++
-	k.cpuSpent[h] += reported
-	k.server.CompleteFrom(a, outcome, reported, int(h))
+	k.cpuSpent[h] += t.reported
+	k.server.CompleteFrom(t.a, t.outcome, t.reported, int(h))
 	k.fetch(h)
 }
 

@@ -10,14 +10,14 @@ import (
 // Portable kernel snapshots (see the snapshot package doc): a
 // self-contained copy of the SoA host plane's mutable state that a
 // different pooled run context can adopt. Assignments held by hosts — the
-// work buffer, the in-flight task, late-return calendar entries — are
+// work buffer, the in-flight task, the late slab's payloads — are
 // translated to arena indices at export and resolved against the
 // adopter's own server, which has replayed the same allocation order.
 // Closure state (the SpawnHint callback) is never exported; the adopter
 // re-binds it.
 
-// portablePlaneEvent is a planeEvent with its assignment pointer replaced
-// by the assignment's arena index.
+// portablePlaneEvent is a planeEvent with an evLate event's late slot
+// resolved to the assignment's arena index and reported seconds.
 type portablePlaneEvent struct {
 	at       sim.Time
 	seq      uint64
@@ -96,32 +96,57 @@ func (p *PortableKernel) Bytes() int {
 	return n
 }
 
-// exportEvent translates one plane event into portable form.
-func exportEvent(ev planeEvent) portablePlaneEvent {
-	return portablePlaneEvent{
-		at: ev.at, seq: ev.seq, a: wcg.AssignmentIndex(ev.a),
-		reported: ev.reported, host: ev.host, kind: ev.kind,
+// exportEvent translates one plane event into portable form, resolving
+// an evLate event's slot to its payload.
+func (k *ShardKernel) exportEvent(ev planeEvent) portablePlaneEvent {
+	pe := portablePlaneEvent{at: ev.at, seq: ev.seq, a: wcg.NilIndex, host: ev.host, kind: ev.kind()}
+	if pe.kind == evLate {
+		r := &k.lates[ev.lateSlot()]
+		pe.a, pe.reported = wcg.AssignmentIndex(r.a), r.reported
 	}
+	return pe
 }
 
-// adoptEvent resolves one portable event against the adopter's server.
-func adoptEvent(pe portablePlaneEvent, asAt func(int32) *wcg.Assignment) planeEvent {
-	return planeEvent{
-		at: pe.at, seq: pe.seq, a: asAt(pe.a),
-		reported: pe.reported, host: pe.host, kind: pe.kind,
+// adoptEvent resolves one portable event against the adopter's server,
+// giving an evLate event a fresh late slot.
+func (k *ShardKernel) adoptEvent(pe portablePlaneEvent, asAt func(int32) *wcg.Assignment) planeEvent {
+	ev := planeEvent{at: pe.at, seq: pe.seq, host: pe.host, aux: int32(pe.kind)}
+	if pe.kind == evLate {
+		ev.aux = k.allocLate(asAt(pe.a), pe.reported)
 	}
+	return ev
 }
 
 // exportEvents translates a run of events into owned portable form.
-func exportEvents(evs []planeEvent) []portablePlaneEvent {
+func (k *ShardKernel) exportEvents(evs []planeEvent) []portablePlaneEvent {
 	if len(evs) == 0 {
 		return nil
 	}
 	out := make([]portablePlaneEvent, len(evs))
 	for i, ev := range evs {
-		out[i] = exportEvent(ev)
+		out[i] = k.exportEvent(ev)
 	}
 	return out
+}
+
+// PendingLateReturns counts the late returns the snapshot's calendars
+// hold, so identity tests can check that a fixture carries some across
+// the portability boundary.
+func (p *PortableKernel) PendingLateReturns() int {
+	n := 0
+	count := func(evs []portablePlaneEvent) {
+		for _, pe := range evs {
+			if pe.kind == evLate {
+				n++
+			}
+		}
+	}
+	count(p.overlay)
+	for sh := range p.cals {
+		count(p.cals[sh].cur)
+		count(p.cals[sh].future)
+	}
+	return n
 }
 
 // ExportPortable deep-copies the kernel's mutable state into a portable
@@ -140,8 +165,6 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		hardware:    snapshot.Clone(k.hardware),
 		done:        snapshot.Clone(k.done),
 		cpuSpent:    snapshot.Clone(k.cpuSpent),
-		curOutcome:  snapshot.Clone(k.curOutcome),
-		curReported: snapshot.Clone(k.curReported),
 		cacheLen:    snapshot.Clone(k.cacheLen),
 
 		active:      k.active,
@@ -157,13 +180,15 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		win:     k.win,
 		winEnd:  k.winEnd,
 		armed:   k.armed,
-		overlay: exportEvents(k.overlay),
+		overlay: k.exportEvents(k.overlay),
 
 		livePlane: k.livePlane,
 	}
-	p.cur = make([]int32, len(k.cur))
-	for i, a := range k.cur {
-		p.cur[i] = wcg.AssignmentIndex(a)
+	p.cur = make([]int32, len(k.task))
+	p.curOutcome = make([]wcg.Outcome, len(k.task))
+	p.curReported = make([]float64, len(k.task))
+	for i, t := range k.task {
+		p.cur[i], p.curOutcome[i], p.curReported[i] = wcg.AssignmentIndex(t.a), t.outcome, t.reported
 	}
 	p.cache = make([]int32, len(k.cache))
 	for i, a := range k.cache {
@@ -173,7 +198,7 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 	for sh := range k.cals {
 		c, pc := &k.cals[sh], &p.cals[sh]
 		pc.refill = snapshot.Clone(c.refill)
-		pc.cur = exportEvents(c.cur[c.cursor:])
+		pc.cur = k.exportEvents(c.cur[c.cursor:])
 		n := 0
 		for _, head := range c.wins {
 			for ch := head; ch != nil; ch = ch.next {
@@ -187,7 +212,7 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		for _, head := range c.wins {
 			for ch := head; ch != nil; ch = ch.next {
 				for _, ev := range ch.ev[:ch.n] {
-					pc.future = append(pc.future, exportEvent(ev))
+					pc.future = append(pc.future, k.exportEvent(ev))
 				}
 			}
 		}
@@ -215,12 +240,10 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.hardware = append(k.hardware[:0], p.hardware...)
 	k.done = append(k.done[:0], p.done...)
 	k.cpuSpent = append(k.cpuSpent[:0], p.cpuSpent...)
-	k.cur = k.cur[:0]
-	for _, ai := range p.cur {
-		k.cur = append(k.cur, asAt(ai))
+	k.task = k.task[:0]
+	for i, ai := range p.cur {
+		k.task = append(k.task, inflight{a: asAt(ai), reported: p.curReported[i], outcome: p.curOutcome[i]})
 	}
-	k.curOutcome = append(k.curOutcome[:0], p.curOutcome...)
-	k.curReported = append(k.curReported[:0], p.curReported...)
 	k.cacheLen = append(k.cacheLen[:0], p.cacheLen...)
 	k.cache = k.cache[:0]
 	for _, ai := range p.cache {
@@ -233,21 +256,22 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.poolHead = p.poolHead
 	*k.r = p.rsrc
 
+	k.clearLates()
 	for sh := range k.cals {
 		c, pc := &k.cals[sh], &p.cals[sh]
 		c.reset()
 		for _, pe := range pc.future {
-			c.push(k.windowOf(pe.at), adoptEvent(pe, asAt))
+			c.push(k.windowOf(pe.at), k.adoptEvent(pe, asAt))
 		}
 		for _, pe := range pc.cur {
-			c.cur = append(c.cur, adoptEvent(pe, asAt))
+			c.cur = append(c.cur, k.adoptEvent(pe, asAt))
 		}
 		c.refill = append(c.refill, pc.refill...)
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.overlay = k.overlay[:0]
 	for _, pe := range p.overlay {
-		k.overlay = append(k.overlay, adoptEvent(pe, asAt))
+		k.overlay = append(k.overlay, k.adoptEvent(pe, asAt))
 	}
 	k.livePlane, k.peekSrc = p.livePlane, noneSrc
 }
